@@ -178,180 +178,13 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
     bind_scratch local;
     bind_scratch& sc = scratch_arg ? *scratch_arg : local;
     const std::size_t n_res = wcg.resource_count();
-    // Memo entries: valid flags reset per call; chain buffers keep their
-    // capacity across calls through the scratch.
-    sc.entry_valid.assign(n_res, 0);
-    sc.entry_chain.resize(n_res);
-    // chain_users[o]: resources whose cached chain contains operation o.
-    // Covering o invalidates exactly these entries: removing candidates
-    // *outside* a chain cannot change the canonical DP answer (dp values
-    // of other items only decrease, so neither the first-index argmax nor
-    // any first-maximal back pointer along the chain can move), so every
-    // other cached chain stays exact. Entries may be stale (the resource
-    // recomputed since); extra invalidations are harmless.
-    sc.chain_users.resize(std::max(sc.chain_users.size(), n));
-    for (std::size_t o = 0; o < n; ++o) {
-        sc.chain_users[o].clear();
-    }
+    std::vector<timed_op>& best_chain = sc.best_chain;
 
-    // Presorted candidate orders, built once per call: the canonical chain
-    // order (start, finish, id) and the by-finish order are properties of
-    // the schedule alone, so distributing two global op orders over the
-    // O(r) rows yields every resource's candidate list in both orders in
-    // O(|H|) -- Chvátal-round recomputes then only *filter* covered
-    // operations out and never sort (wcg/chains.hpp,
-    // longest_chain_presorted).
-    if (options.cache_chains) {
-        sc.res_canon.resize(std::max(sc.res_canon.size(), n_res));
-        sc.res_finish.resize(std::max(sc.res_finish.size(), n_res));
-        for (std::size_t r = 0; r < n_res; ++r) {
-            sc.res_canon[r].clear();
-            sc.res_finish[r].clear();
-        }
-        // Both global orders have keys bounded by the schedule horizon, so
-        // three stable counting-sort passes replace two comparison sorts:
-        //   ids asc --finish--> (finish, id) --start--> (start, finish, id)
-        // which is the canonical order, then canonical --finish-->
-        // (finish, canonical rank), the by-finish order.
-        int max_finish = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            max_finish = std::max(max_finish, start_times[i] + latencies[i]);
-        }
-        auto& order = sc.order;
-        auto& order2 = sc.order2;
-        order.resize(n);
-        order2.resize(n);
-        auto& count = sc.count;
-        const auto counting_pass = [&](auto&& key, const std::uint32_t* in,
-                                       std::uint32_t* out) {
-            count.assign(static_cast<std::size_t>(max_finish) + 1, 0);
-            for (std::size_t i = 0; i < n; ++i) {
-                ++count[static_cast<std::size_t>(
-                    key(in ? in[i] : static_cast<std::uint32_t>(i)))];
-            }
-            std::uint32_t total = 0;
-            for (auto& c : count) {
-                const std::uint32_t c0 = c;
-                c = total;
-                total += c0;
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                const std::uint32_t v =
-                    in ? in[i] : static_cast<std::uint32_t>(i);
-                out[count[static_cast<std::size_t>(key(v))]++] = v;
-            }
-        };
-        const auto fin_key = [&](std::uint32_t v) {
-            return start_times[v] + latencies[v];
-        };
-        const auto start_key = [&](std::uint32_t v) {
-            return start_times[v];
-        };
-        counting_pass(fin_key, nullptr, order2.data());
-        counting_pass(start_key, order2.data(), order.data());
-        sc.canon_rank.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            sc.canon_rank[order[i]] = static_cast<std::uint32_t>(i);
-        }
-        for (const std::uint32_t ov : order) {
-            const op_id o{ov};
-            const timed_op item = make_timed(o, start_times, latencies);
-            for (const res_id r : wcg.resources_for(o)) {
-                sc.res_canon[r.value()].push_back(item);
-            }
-        }
-        // By-finish: (finish asc, canonical rank asc); restricted to each
-        // O(r) this is exactly the (finish, local index) order the sweep
-        // needs, because local indices increase with canonical rank.
-        counting_pass(fin_key, order.data(), order2.data());
-        order.swap(order2);
-        for (const std::uint32_t ov : order) {
-            const op_id o{ov};
-            const std::uint32_t rank = sc.canon_rank[ov];
-            for (const res_id r : wcg.resources_for(o)) {
-                sc.res_finish[r.value()].push_back(rank);
-            }
-        }
-        // Ranks -> local indices: the canonical distribution above visited
-        // each row in ascending global rank, so a row position IS the local
-        // index; one scratch map per row translates the stored ranks.
-        auto& rank_to_local = sc.remap;
-        rank_to_local.resize(std::max(rank_to_local.size(), n));
-        for (std::size_t r = 0; r < n_res; ++r) {
-            const auto& canon = sc.res_canon[r];
-            for (std::size_t li = 0; li < canon.size(); ++li) {
-                rank_to_local[sc.canon_rank[canon[li].op.value()]] =
-                    static_cast<std::uint32_t>(li);
-            }
-            for (auto& entry : sc.res_finish[r]) {
-                entry = rank_to_local[entry];
-            }
-        }
-    }
-
-    const auto recompute = [&](res_id r) -> const std::vector<timed_op>& {
-        std::vector<timed_op>& chain = sc.entry_chain[r.value()];
-        std::vector<timed_op>& candidates = sc.candidates;
-        candidates.clear();
-        if (options.cache_chains) {
-            // Filter the presorted orders down to uncovered operations --
-            // no per-round sorting (longest_chain_presorted) -- and keep
-            // the compacted orders: a covered operation never becomes a
-            // candidate again within this call, so later recomputes of the
-            // same resource walk only the survivors.
-            auto& canon = sc.res_canon[r.value()];
-            auto& finish = sc.res_finish[r.value()];
-            constexpr std::uint32_t npos32 = ~std::uint32_t{0};
-            // The row was last compacted to exactly the then-uncovered
-            // operations, so anything got covered since iff the survivor
-            // count moved -- an O(1) test.
-            if (sc.survivors[r.value()] != canon.size()) {
-                auto& remap = sc.remap;
-                remap.resize(std::max(remap.size(), canon.size()));
-                for (std::size_t li = 0; li < canon.size(); ++li) {
-                    if (!covered[canon[li].op.value()]) {
-                        remap[li] =
-                            static_cast<std::uint32_t>(candidates.size());
-                        candidates.push_back(canon[li]);
-                    } else {
-                        remap[li] = npos32;
-                    }
-                }
-                auto& finish_compact = sc.finish_compact;
-                finish_compact.clear();
-                for (const std::uint32_t li : finish) {
-                    if (remap[li] != npos32) {
-                        finish_compact.push_back(remap[li]);
-                    }
-                }
-                canon.swap(candidates);
-                finish.swap(finish_compact);
-            }
-            longest_chain_presorted(canon, finish, sc.chains, chain);
-            for (const timed_op& item : chain) {
-                sc.chain_users[item.op.value()].push_back(r);
-            }
-        } else {
-            for (const op_id o : wcg.ops_for(r)) {
-                if (!covered[o.value()]) {
-                    candidates.push_back(
-                        make_timed(o, start_times, latencies));
-                }
-            }
-            chain = longest_chain_dp(candidates);
-        }
-        sc.entry_valid[r.value()] = 1;
-        return chain;
-    };
-    const auto key_of = [&](res_id r, const std::vector<timed_op>& chain) {
-        return bind_chain_key{
-            static_cast<double>(chain.size()) / wcg.area(r), chain.size(),
-            r};
-    };
     auto& heap = sc.heap;
     heap.clear();
-    const auto heap_push = [&](const bind_chain_key& key) {
-        heap.push_back(key);
+    const auto heap_push = [&](res_id r, std::size_t length) {
+        heap.push_back(bind_chain_key{
+            static_cast<double>(length) / wcg.area(r), length, r});
         std::push_heap(heap.begin(), heap.end());
     };
     const auto heap_pop = [&]() {
@@ -361,55 +194,92 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
         return top;
     };
 
-    // Lazy Chvátal selection (Minoux-style): candidate sets only shrink as
-    // operations are covered, so every chain length -- and thus every
-    // selection key -- is non-increasing over rounds. Stale heap keys are
-    // therefore upper bounds, and the first *fresh* key popped is the true
-    // argmax. Only resources that surface at the heap top are recomputed,
-    // instead of every dirtied resource every round. The heap is seeded
-    // with the optimistic bound "number of distinct start times among
-    // O(r)" -- a chain visits strictly increasing starts, so this is
-    // admissible and much tighter than |O(r)| under a parallel schedule --
-    // and no chain at all is computed for resources that never reach the
-    // top.
-    // survivors[r]: number of uncovered operations in O(r) -- an O(1)
-    // upper bound on the chain length, maintained incrementally as
-    // operations are covered. The lazy selection loop tightens stale heap
-    // keys to this bound before paying for a full recompute, so resources
-    // far from the top never walk their candidate rows at all.
-    if (options.cache_chains) {
-        sc.survivors.resize(std::max(sc.survivors.size(), n_res));
-        for (const res_id r : wcg.all_resources()) {
-            sc.survivors[r.value()] =
-                static_cast<std::uint32_t>(wcg.ops_for(r).size());
+    // Length memo: memo[r] is the longest-chain length among r's uncovered
+    // candidates, or `dirty`. chain_users[o] lists the resources whose
+    // memoised *greedy* chain (max_chain_length) contains operation o.
+    // Covering o dirties exactly those entries, and the invalidation is
+    // exact: covering an operation outside a greedy chain leaves that
+    // disjoint chain of the same length intact, and lengths never grow as
+    // candidates disappear. Entries may be stale (the resource recomputed
+    // since); extra invalidations are harmless.
+    constexpr std::uint32_t dirty = ~std::uint32_t{0};
+    // rows[r]: r's uncovered candidates in ascending finish order, the
+    // order max_chain_length walks. A covered operation never becomes a
+    // candidate again within this call, so rows are compacted in place;
+    // the row was last compacted to exactly the then-uncovered operations,
+    // so something got covered since iff survivors[r] moved -- an O(1)
+    // test.
+    const auto compact = [&](res_id r) -> std::vector<timed_op>& {
+        std::vector<timed_op>& row = sc.rows[r.value()];
+        if (sc.survivors[r.value()] != row.size()) {
+            std::erase_if(row, [&](const timed_op& item) {
+                return covered[item.op.value()];
+            });
         }
-    }
+        return row;
+    };
+    const auto refresh = [&](res_id r) {
+        const std::size_t length =
+            max_chain_length(compact(r), [&](const timed_op& item) {
+                sc.chain_users[item.op.value()].push_back(r);
+            });
+        sc.memo[r.value()] = static_cast<std::uint32_t>(length);
+        if (length > 0) {
+            heap_push(r, length);
+        }
+    };
 
     if (options.cache_chains) {
-        // stamp[t] == current resource marker <=> start t already seen.
-        int horizon = 0;
+        // One stable counting pass (finish times are bounded by the
+        // schedule horizon) orders operations by (finish, id); distributing
+        // that order over the O(r) rows yields every resource's candidates
+        // in finish order in O(|H|), with no per-resource sort.
+        int max_finish = 0;
         for (std::size_t i = 0; i < n; ++i) {
-            horizon = std::max(horizon, start_times[i] + 1);
+            max_finish = std::max(max_finish, start_times[i] + latencies[i]);
         }
-        auto& stamp = sc.stamp;
-        stamp.assign(static_cast<std::size_t>(horizon), 0);
-        std::uint32_t marker = 0;
+        auto& count = sc.count;
+        count.assign(static_cast<std::size_t>(max_finish) + 1, 0);
+        for (std::size_t i = 0; i < n; ++i) {
+            ++count[static_cast<std::size_t>(start_times[i] + latencies[i])];
+        }
+        std::uint32_t total = 0;
+        for (auto& c : count) {
+            const std::uint32_t c0 = c;
+            c = total;
+            total += c0;
+        }
+        auto& order = sc.order;
+        order.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            order[count[static_cast<std::size_t>(start_times[i] +
+                                                 latencies[i])]++] =
+                static_cast<std::uint32_t>(i);
+        }
+        sc.rows.resize(std::max(sc.rows.size(), n_res));
+        for (std::size_t r = 0; r < n_res; ++r) {
+            sc.rows[r].clear();
+        }
+        for (const std::uint32_t ov : order) {
+            const op_id o{ov};
+            const timed_op item = make_timed(o, start_times, latencies);
+            for (const res_id r : wcg.resources_for(o)) {
+                sc.rows[r.value()].push_back(item);
+            }
+        }
+
+        sc.chain_users.resize(std::max(sc.chain_users.size(), n));
+        for (std::size_t o = 0; o < n; ++o) {
+            sc.chain_users[o].clear();
+        }
+        sc.survivors.resize(std::max(sc.survivors.size(), n_res));
+        sc.memo.assign(n_res, dirty);
+        // Seed the heap with every resource's exact length (O(|H|) in
+        // total).
         for (const res_id r : wcg.all_resources()) {
-            ++marker;
-            std::size_t distinct_starts = 0;
-            for (const op_id o : wcg.ops_for(r)) {
-                auto& cell =
-                    stamp[static_cast<std::size_t>(start_times[o.value()])];
-                if (cell != marker) {
-                    cell = marker;
-                    ++distinct_starts;
-                }
-            }
-            if (distinct_starts > 0) {
-                heap_push(bind_chain_key{
-                    static_cast<double>(distinct_starts) / wcg.area(r),
-                    distinct_starts, r});
-            }
+            sc.survivors[r.value()] =
+                static_cast<std::uint32_t>(sc.rows[r.value()].size());
+            refresh(r);
         }
     }
 
@@ -418,53 +288,65 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
         // resource type the best feasible column is a longest chain of
         // uncovered compatible operations.
         res_id best_r = res_id::invalid();
-        const std::vector<timed_op>* best_chain_ptr = nullptr;
 
         if (options.cache_chains) {
-            while (best_chain_ptr == nullptr) {
+            // Lazy Chvátal selection (Minoux-style): candidate sets only
+            // shrink as operations are covered, so every chain length --
+            // and thus every selection key -- is non-increasing over
+            // rounds. The heap holds at most one key per resource (each
+            // pop pushes at most one back), always an upper bound on its
+            // current key, and exact while its memo is clean: a memo is
+            // set only together with pushing its key and afterwards can
+            // only go dirty. The first clean key popped is therefore the
+            // true argmax -- unique, as bind_chain_key is a total order --
+            // and only resources surfacing at the top are recomputed.
+            std::size_t length = 0;
+            for (;;) {
                 // Every uncovered operation keeps at least one H edge, so
                 // a key for some resource with candidates is always here.
                 MWL_ASSERT(!heap.empty());
                 const bind_chain_key top = heap_pop();
-                if (!sc.entry_valid[top.r.value()]) {
-                    // Tighten to the survivor bound first: chain length
-                    // can never exceed the number of uncovered candidates,
-                    // and pushing the smaller bound keeps every heap key an
-                    // upper bound, so the argmax argument is untouched.
-                    const std::size_t bound = sc.survivors[top.r.value()];
-                    if (bound < top.length) {
-                        if (bound > 0) {
-                            heap_push(bind_chain_key{
-                                static_cast<double>(bound) /
-                                    wcg.area(top.r),
-                                bound, top.r});
-                        }
-                        continue;
-                    }
-                    const std::vector<timed_op>& fresh = recompute(top.r);
-                    if (!fresh.empty()) {
-                        heap_push(key_of(top.r, fresh));
+                if (sc.memo[top.r.value()] != dirty) {
+                    MWL_ASSERT(sc.memo[top.r.value()] == top.length);
+                    best_r = top.r;
+                    length = top.length;
+                    // The resource stays selectable in later rounds; the
+                    // re-pushed key stays an upper bound as its ops get
+                    // covered.
+                    heap_push(top.r, top.length);
+                    break;
+                }
+                // Tighten to the survivor bound first: chain length can
+                // never exceed the number of uncovered candidates, and
+                // pushing the smaller bound keeps every heap key an upper
+                // bound, so the argmax argument is untouched.
+                const std::size_t bound = sc.survivors[top.r.value()];
+                if (bound < top.length) {
+                    if (bound > 0) {
+                        heap_push(top.r, bound);
                     }
                     continue;
                 }
-                const std::vector<timed_op>& chain =
-                    sc.entry_chain[top.r.value()];
-                if (chain.size() != top.length) {
-                    continue; // superseded duplicate of an older recompute
-                }
-                best_r = top.r;
-                best_chain_ptr = &chain;
-                // The resource stays selectable in later rounds; its ops
-                // are about to be covered, which dirties the entry, so the
-                // re-pushed key is a valid upper bound.
-                heap_push(top);
+                refresh(top.r);
             }
+            // Only the winner needs its members: the canonical chain
+            // (start, finish, id) among its uncovered candidates.
+            longest_chain_into(compact(best_r), sc.chains, best_chain);
+            MWL_ASSERT(best_chain.size() == length);
         } else {
             // Reference scan: recompute every resource's chain each round
             // (the original pre-incremental behaviour; identical output).
             double best_ratio = -1.0;
+            std::vector<timed_op>& candidates = sc.candidates;
             for (const res_id r : wcg.all_resources()) {
-                const std::vector<timed_op>& chain = recompute(r);
+                candidates.clear();
+                for (const op_id o : wcg.ops_for(r)) {
+                    if (!covered[o.value()]) {
+                        candidates.push_back(
+                            make_timed(o, start_times, latencies));
+                    }
+                }
+                std::vector<timed_op> chain = longest_chain_dp(candidates);
                 if (chain.empty()) {
                     continue;
                 }
@@ -473,31 +355,27 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
                 const bool better =
                     ratio > best_ratio ||
                     (ratio == best_ratio &&
-                     (best_chain_ptr == nullptr ||
-                      chain.size() > best_chain_ptr->size() ||
-                      (chain.size() == best_chain_ptr->size() &&
-                       r < best_r)));
+                     (!best_r.is_valid() ||
+                      chain.size() > best_chain.size() ||
+                      (chain.size() == best_chain.size() && r < best_r)));
                 if (better) {
                     best_ratio = ratio;
                     best_r = r;
-                    best_chain_ptr = &chain;
+                    best_chain.swap(chain);
                 }
             }
         }
-        MWL_ASSERT(best_r.is_valid() && best_chain_ptr != nullptr &&
-                   !best_chain_ptr->empty());
-        std::vector<timed_op>& best_chain = sc.best_chain;
-        best_chain.assign(best_chain_ptr->begin(), best_chain_ptr->end());
+        MWL_ASSERT(best_r.is_valid() && !best_chain.empty());
 
         for (const timed_op& item : best_chain) {
             MWL_ASSERT(!covered[item.op.value()]);
             covered[item.op.value()] = true;
             ++n_covered;
             if (options.cache_chains) {
-                // Only chains that contain the newly covered operation
-                // can change; everything else's chain is still exact.
+                // Only lengths whose greedy chain contains the newly
+                // covered operation can change; every other memo is exact.
                 for (const res_id r : sc.chain_users[item.op.value()]) {
-                    sc.entry_valid[r.value()] = 0;
+                    sc.memo[r.value()] = dirty;
                 }
                 sc.chain_users[item.op.value()].clear();
                 for (const res_id r : wcg.resources_for(item.op)) {

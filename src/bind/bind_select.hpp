@@ -32,17 +32,16 @@ struct bind_options {
     /// After covering, re-assign each clique the cheapest resource type
     /// satisfying Eqn. 4 (pure improvement; wordlength selection proper).
     bool reassign_cheapest = true;
-    /// Reuse each resource type's candidate chain across Chvátal rounds,
-    /// recomputing only for resources that lost a newly-covered operation
-    /// (identical output; off = recompute every chain every round, kept for
-    /// the before/after bench and regression tests).
+    /// Rank resource types in the Chvátal heap by a memoised O(k)
+    /// longest-chain *length* (interval-scheduling greedy), recomputed only
+    /// for resources whose greedy chain lost an operation and that surface
+    /// at the heap top; the canonical chain is built only for each round's
+    /// winner. Identical output. Off = recompute every resource's chain
+    /// with the original quadratic DP every round, kept for the
+    /// before/after bench and regression tests.
     bool cache_chains = true;
 };
 
-/// Reusable buffers for bind_select, owned by a looping caller (the
-/// DPAlloc refinement loop) so repeated binds allocate almost nothing.
-/// Pure scratch: contents are reset on every call and carry no information
-/// between calls.
 /// Selection key of the lazy Chvátal heap (see bind_select.cpp); public
 /// only so bind_scratch can own the heap storage.
 struct bind_chain_key {
@@ -62,30 +61,23 @@ struct bind_chain_key {
     }
 };
 
+/// Reusable buffers for bind_select, owned by a looping caller (the
+/// DPAlloc refinement loop) so repeated binds allocate almost nothing.
+/// Pure scratch: contents are reset on every call and carry no information
+/// between calls.
 struct bind_scratch {
-    std::vector<std::uint8_t> entry_valid;       ///< per-resource memo flag
-    std::vector<std::vector<timed_op>> entry_chain; ///< per-resource chain
-    std::vector<std::vector<res_id>> chain_users; ///< per-op chain members
+    std::vector<std::uint32_t> memo;             ///< per-resource length
+    std::vector<std::vector<res_id>> chain_users; ///< per-op greedy members
+    std::vector<std::vector<timed_op>> rows;     ///< uncovered O(r), by finish
+    std::vector<std::uint32_t> survivors;        ///< uncovered ops per O(r)
+    std::vector<std::uint32_t> order;            ///< by-finish op order
+    std::vector<std::uint32_t> count;            ///< counting-sort histogram
+    std::vector<bind_chain_key> heap;            ///< lazy selection heap
     std::vector<timed_op> candidates;
     std::vector<timed_op> best_chain;
     std::vector<timed_op> merge_tmp;
     std::vector<std::uint32_t> hits;
-    std::vector<std::uint32_t> stamp;            ///< distinct-start seeding
-    std::vector<bind_chain_key> heap;            ///< lazy selection heap
     chain_scratch chains;
-    // Per-schedule presorted candidate orders (see bind_select.cpp): for
-    // each resource, O(r) in canonical chain order and the matching
-    // by-finish index order, built once per call so chain recomputes are
-    // sort-free.
-    std::vector<std::vector<timed_op>> res_canon;
-    std::vector<std::vector<std::uint32_t>> res_finish;
-    std::vector<std::uint32_t> order;            ///< shared op-order buffer
-    std::vector<std::uint32_t> order2;           ///< counting-sort partner
-    std::vector<std::uint32_t> count;            ///< counting-sort histogram
-    std::vector<std::uint32_t> canon_rank;
-    std::vector<std::uint32_t> remap;
-    std::vector<std::uint32_t> finish_compact;
-    std::vector<std::uint32_t> survivors;        ///< uncovered ops per O(r)
 };
 
 /// Bind every operation of `wcg.graph()`.

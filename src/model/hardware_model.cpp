@@ -4,6 +4,9 @@
 #include "support/hash.hpp"
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 namespace mwl {
 
@@ -34,9 +37,21 @@ int sonic_model::latency(const op_shape& shape) const
     case op_kind::add:
         return adder_latency_;
     case op_kind::mul: {
-        // Empirical SONIC formula: ceil((n + m) / 8) cycles.
-        const int bits = shape.width_a() + shape.width_b();
-        return (bits + mul_bits_per_cycle_ - 1) / mul_bits_per_cycle_;
+        // Empirical SONIC formula: ceil((n + m) / 8) cycles. Widths are
+        // user input up to INT_MAX, so sum in 64 bits and reject a width
+        // sum outside int; the latency (<= the sum) then fits too.
+        const std::int64_t bits =
+            std::int64_t{shape.width_a()} + std::int64_t{shape.width_b()};
+        if (bits > std::numeric_limits<int>::max()) {
+            throw precondition_error(
+                "multiplier widths " + std::to_string(shape.width_a()) +
+                " and " + std::to_string(shape.width_b()) +
+                " are too wide: their sum " + std::to_string(bits) +
+                " exceeds " +
+                std::to_string(std::numeric_limits<int>::max()));
+        }
+        return static_cast<int>((bits + mul_bits_per_cycle_ - 1) /
+                                mul_bits_per_cycle_);
     }
     }
     MWL_ASSERT(false && "unreachable");

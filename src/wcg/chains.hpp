@@ -9,14 +9,16 @@
 // search -- the linear-time observation the paper leans on in §2.3. The
 // sweep reproduces, item for item, the chain the original O(k^2) DP
 // returned (property-tested against the DP oracle in
-// tests/chains_property_test.cpp).
+// tests/chains_property_test.cpp). When only the *length* is needed,
+// max_chain_length answers in O(k) from a by-finish order.
 
 #ifndef MWL_WCG_CHAINS_HPP
 #define MWL_WCG_CHAINS_HPP
 
 #include "support/ids.hpp"
 
-#include <cstdint>
+#include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -38,8 +40,8 @@ struct timed_op {
 }
 
 /// Reusable buffers for longest_chain, so a caller invoking it in a loop
-/// (bind/bind_select.cpp does, once per Chvátal round per dirty resource)
-/// performs no per-call allocations beyond the returned chain.
+/// (bind/bind_select.cpp does, once per Chvátal round) performs no
+/// per-call allocations beyond the returned chain.
 struct chain_scratch {
     std::vector<timed_op> sorted;
     std::vector<std::size_t> by_finish;
@@ -62,16 +64,35 @@ struct chain_scratch {
 void longest_chain_into(std::span<const timed_op> items,
                         chain_scratch& scratch, std::vector<timed_op>& out);
 
-/// Sort-free form for callers that amortise the ordering work: `sorted`
-/// must already be in canonical order (start asc, finish asc, op id asc)
-/// and `by_finish` must hold the indices of `sorted` ordered by
-/// (finish asc, index asc). Produces exactly the chain longest_chain_into
-/// returns for the same item set in O(k). bind/bind_select.cpp builds both
-/// orders once per schedule and filters them per Chvátal round.
-void longest_chain_presorted(std::span<const timed_op> sorted,
-                             std::span<const std::uint32_t> by_finish,
-                             chain_scratch& scratch,
-                             std::vector<timed_op>& out);
+/// Length of a longest chain among `by_finish`, which must be sorted by
+/// ascending finish (ties in any order). This is the interval-scheduling
+/// greedy: a chain is a set of pairwise disjoint intervals, and taking
+/// each item whose start is no earlier than the last taken finish yields
+/// one of maximum size. O(k), no buffers. `take` is called with every item
+/// of that greedy chain, in order; removing any *other* item from the set
+/// leaves the length unchanged, because the greedy chain survives and the
+/// maximum cannot grow as items disappear. The chain is a longest one but
+/// not, in general, the canonical chain longest_chain returns.
+template <typename Take>
+std::size_t max_chain_length(std::span<const timed_op> by_finish, Take&& take)
+{
+    std::size_t length = 0;
+    int last_finish = std::numeric_limits<int>::min();
+    for (const timed_op& item : by_finish) {
+        if (item.start >= last_finish) {
+            take(item);
+            last_finish = item.finish();
+            ++length;
+        }
+    }
+    return length;
+}
+
+[[nodiscard]] inline std::size_t max_chain_length(
+    std::span<const timed_op> by_finish)
+{
+    return max_chain_length(by_finish, [](const timed_op&) {});
+}
 
 /// True iff every pair of `items` is ordered by `precedes` one way or the
 /// other, i.e. the set is a clique of G'(O, C). O(k log k):

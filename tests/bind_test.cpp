@@ -10,6 +10,8 @@
 #include "tgff/generator.hpp"
 #include "wcg/wcg.hpp"
 
+#include "test_seed.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -260,6 +262,93 @@ TEST(BindSelect, RandomSchedulesAlwaysProduceValidBindings)
         const binding b = bind_select(wcg, sched.start, upper);
         expect_binding_valid(wcg, b, sched.start, upper);
     }
+}
+
+void expect_same_binding(const binding& a, const binding& b)
+{
+    ASSERT_EQ(a.cliques.size(), b.cliques.size());
+    for (std::size_t k = 0; k < a.cliques.size(); ++k) {
+        EXPECT_EQ(a.cliques[k].resource, b.cliques[k].resource)
+            << "clique " << k;
+        EXPECT_EQ(a.cliques[k].ops, b.cliques[k].ops) << "clique " << k;
+    }
+    EXPECT_EQ(a.clique_of_op, b.clique_of_op);
+    EXPECT_EQ(a.total_area, b.total_area);
+}
+
+/// A large-graph preset WCG (tgff/generator.hpp) at |O| = n.
+sequencing_graph preset_graph(std::size_t n, std::uint64_t seed)
+{
+    rng random(seed + n);
+    return generate_tgff(large_graph_preset(n), random);
+}
+
+binding bind_scheduled(const wordlength_compatibility_graph& wcg,
+                       const bind_options& options,
+                       bind_scratch* scratch = nullptr)
+{
+    const incomplete_schedule_result sched = schedule_incomplete(wcg);
+    return bind_select(wcg, sched.start, wcg.latency_upper_bounds(),
+                       options, scratch);
+}
+
+TEST(BindSelect, CachedChainsMatchReferenceOnRefinedPresetGraphs)
+{
+    // The length-memo heap must pick the very same clique every round as
+    // the recompute-everything reference, on real DPAlloc inputs: preset
+    // graphs as scheduled, then after §2.4 refinements deleted H edges.
+    const std::uint64_t seed =
+        testing::env_seed("MWL_BIND_SEED", large_graph_seed_base);
+    MWL_TRACE_SEED("MWL_BIND_SEED", seed);
+    rng pick(seed);
+    const sonic_model model;
+    bind_options reference;
+    reference.cache_chains = false;
+    bind_scratch scratch;
+    for (const std::size_t n :
+         {std::size_t{50}, std::size_t{120}, std::size_t{200},
+          std::size_t{300}}) {
+        SCOPED_TRACE("|O| = " + std::to_string(n));
+        const sequencing_graph g = preset_graph(n, seed);
+        wordlength_compatibility_graph wcg(g, model);
+        for (int step = 0; step < 4; ++step) {
+            SCOPED_TRACE("after " + std::to_string(step) + " refinements");
+            const binding cached = bind_scheduled(wcg, {}, &scratch);
+            expect_same_binding(cached, bind_scheduled(wcg, reference));
+            // Refine a random refinable operation, as DPAlloc's §2.4 step
+            // does, so the next round sees a sparser H.
+            std::vector<op_id> refinable;
+            for (const op_id o : g.all_ops()) {
+                if (wcg.refinable(o)) {
+                    refinable.push_back(o);
+                }
+            }
+            if (refinable.empty()) {
+                break;
+            }
+            static_cast<void>(wcg.refine_op(
+                refinable[pick.uniform(0, refinable.size() - 1)]));
+        }
+    }
+}
+
+TEST(BindSelect, ReusedScratchMatchesFreshScratch)
+{
+    // bind_scratch carries buffers, never state: a large bind, a small one
+    // and the large one again through one scratch must each equal a bind
+    // with fresh buffers.
+    const sonic_model model;
+    const sequencing_graph big = preset_graph(300, large_graph_seed_base);
+    const sequencing_graph small = preset_graph(50, large_graph_seed_base);
+    const wordlength_compatibility_graph big_wcg(big, model);
+    const wordlength_compatibility_graph small_wcg(small, model);
+    const binding big_fresh = bind_scheduled(big_wcg, {});
+    const binding small_fresh = bind_scheduled(small_wcg, {});
+    bind_scratch scratch;
+    expect_same_binding(bind_scheduled(big_wcg, {}, &scratch), big_fresh);
+    expect_same_binding(bind_scheduled(small_wcg, {}, &scratch),
+                        small_fresh);
+    expect_same_binding(bind_scheduled(big_wcg, {}, &scratch), big_fresh);
 }
 
 TEST(CheapestCommonResource, FindsJoinWhenPresent)

@@ -170,6 +170,75 @@ TEST(ChainsProperty, SweepReproducesDpWithDuplicateIntervals)
     }
 }
 
+/// `items` in the by-finish order max_chain_length requires.
+std::vector<timed_op> by_finish(std::vector<timed_op> items)
+{
+    std::sort(items.begin(), items.end(),
+              [](const timed_op& a, const timed_op& b) {
+                  return a.finish() < b.finish();
+              });
+    return items;
+}
+
+TEST(ChainsProperty, MaxChainLengthMatchesLongestChainAndDp)
+{
+    const std::uint64_t seed =
+        testing::env_seed("MWL_CHAINS_SEED", 0xC4A7);
+    MWL_TRACE_SEED("MWL_CHAINS_SEED", seed);
+    rng random(seed);
+    for (int trial = 0; trial < 1200; ++trial) {
+        // Alternate dense (many ties) and sparse (long chains) sets.
+        const std::vector<timed_op> items =
+            trial % 2 == 0 ? random_items(random, 40, 12, 6)
+                           : random_items(random, 40, 200, 4);
+        const std::vector<timed_op> sorted = by_finish(items);
+        std::vector<timed_op> greedy;
+        const std::size_t length = max_chain_length(
+            sorted, [&](const timed_op& item) { greedy.push_back(item); });
+        EXPECT_EQ(length, longest_chain(items).size()) << "trial " << trial;
+        EXPECT_EQ(length, longest_chain_dp(items).size())
+            << "trial " << trial;
+        EXPECT_EQ(max_chain_length(sorted), length) << "trial " << trial;
+        ASSERT_EQ(greedy.size(), length) << "trial " << trial;
+        EXPECT_TRUE(is_chain(greedy)) << "trial " << trial;
+    }
+}
+
+TEST(ChainsProperty, RemovingNonGreedyItemKeepsMaxChainLength)
+{
+    // The invariant BindSelect's length memo rests on: covering an
+    // operation outside a resource's greedy chain cannot change that
+    // resource's longest-chain length.
+    const std::uint64_t seed =
+        testing::env_seed("MWL_CHAINS_SEED", 0xC4A8);
+    MWL_TRACE_SEED("MWL_CHAINS_SEED", seed);
+    rng random(seed);
+    int removals = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+        const std::vector<timed_op> sorted =
+            by_finish(random_items(random, 30, 40, 6));
+        std::vector<bool> in_greedy(sorted.size(), false);
+        const std::size_t length =
+            max_chain_length(sorted, [&](const timed_op& item) {
+                in_greedy[item.op.value()] = true;
+            });
+        for (std::size_t skip = 0; skip < sorted.size(); ++skip) {
+            if (in_greedy[sorted[skip].op.value()]) {
+                continue;
+            }
+            std::vector<timed_op> rest = sorted;
+            rest.erase(rest.begin() + static_cast<std::ptrdiff_t>(skip));
+            EXPECT_EQ(max_chain_length(rest), length)
+                << "trial " << trial << " removing op "
+                << sorted[skip].op.value();
+            EXPECT_EQ(longest_chain_dp(rest).size(), length)
+                << "trial " << trial;
+            ++removals;
+        }
+    }
+    EXPECT_GT(removals, 0);
+}
+
 TEST(ChainsProperty, IsChainMatchesPairwiseOracle)
 {
     const std::uint64_t seed =

@@ -627,6 +627,18 @@ TEST(CliAlloc, BadNumericFlagValuesExitTwoNotAbort)
                       "bad value for --lambda: bad numeric value '12x'");
 }
 
+TEST(CliAlloc, OverflowingMultiplierWidthsExitTwo)
+{
+    // Regression: the width sum overflowed int (UB) and surfaced as the
+    // misleading "operation latencies must be >= 1".
+    expect_fails_with("echo 'op m mul 2000000000 2000000000' | " +
+                          tool("mwl_alloc") + " -",
+                      2,
+                      "mwl_alloc: multiplier widths 2000000000 and "
+                      "2000000000 are too wide: their sum 4000000000 "
+                      "exceeds 2147483647");
+}
+
 // ------------------------------------------------------------- mwl_verify --
 
 TEST(CliVerify, BadNumericFlagValuesExitTwoNotAbort)

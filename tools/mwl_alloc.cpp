@@ -145,7 +145,15 @@ int main(int argc, char** argv)
         }
 
         const sonic_model model;
-        const int lambda_min = min_latency(graph, model);
+        int lambda_min = 0;
+        try {
+            lambda_min = min_latency(graph, model);
+        } catch (const precondition_error& e) {
+            // A graph the model cannot price (e.g. multiplier widths whose
+            // sum overflows) is bad input, like a bad flag: exit 2.
+            std::cerr << "mwl_alloc: " << e.what() << '\n';
+            return 2;
+        }
 
         if (want_sweep) {
             pareto_options sweep;
