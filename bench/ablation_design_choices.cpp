@@ -1,4 +1,5 @@
-// Ablation bench for DPAlloc's design choices (DESIGN.md section 6):
+// Ablation bench for DPAlloc's design choices, one dpalloc_options switch
+// each (core/dpalloc.hpp):
 //
 //  * growth pass of BindSelect on/off (the paper's "compensation for the
 //    greedy nature of the selections"),

@@ -53,107 +53,10 @@ bool can_absorb(const wordlength_compatibility_graph& wcg, res_id resource,
     return true;
 }
 
-// -- reference (pre-incremental) implementations ------------------------
-//
-// The cache_chains = false arm reproduces the original BindSelect
-// faithfully -- quadratic longest-chain DP with fresh allocations, the
-// base-copying absorption probe, and the scan-everything cheapest-resource
-// query -- so bench/iteration_scaling.cpp measures the real before/after
-// of the §2.3 rework. Output-equivalence with the production path is
-// enforced by tests/chains_property_test.cpp and
-// tests/incremental_regression_test.cpp.
-
-std::vector<timed_op> longest_chain_dp(std::span<const timed_op> items)
-{
-    if (items.empty()) {
-        return {};
-    }
-    std::vector<timed_op> sorted(items.begin(), items.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const timed_op& a, const timed_op& b) {
-                  if (a.start != b.start) {
-                      return a.start < b.start;
-                  }
-                  if (a.finish() != b.finish()) {
-                      return a.finish() < b.finish();
-                  }
-                  return a.op < b.op;
-              });
-    const std::size_t n = sorted.size();
-    constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> dp(n, 1);
-    std::vector<std::size_t> back(n, npos);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (precedes(sorted[j], sorted[i]) && dp[j] + 1 > dp[i]) {
-                dp[i] = dp[j] + 1;
-                back[i] = j;
-            }
-        }
-    }
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-        if (dp[i] > dp[best]) {
-            best = i;
-        }
-    }
-    std::vector<timed_op> chain;
-    for (std::size_t at = best; at != npos; at = back[at]) {
-        chain.push_back(sorted[at]);
-    }
-    std::reverse(chain.begin(), chain.end());
-    return chain;
-}
-
-bool can_absorb_copying(const wordlength_compatibility_graph& wcg,
-                        res_id resource, const std::vector<timed_op>& base,
-                        const std::vector<op_id>& extra,
-                        std::span<const int> start, std::span<const int> lat)
-{
-    std::vector<timed_op> merged = base;
-    for (const op_id o : extra) {
-        if (!wcg.compatible(o, resource)) {
-            return false;
-        }
-        merged.push_back(make_timed(o, start, lat));
-    }
-    for (std::size_t i = 0; i < merged.size(); ++i) {
-        for (std::size_t j = i + 1; j < merged.size(); ++j) {
-            if (!precedes(merged[i], merged[j]) &&
-                !precedes(merged[j], merged[i])) {
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-res_id cheapest_common_resource_scan(
-    const wordlength_compatibility_graph& wcg, std::span<const op_id> ops)
-{
-    res_id best = res_id::invalid();
-    for (const res_id r : wcg.all_resources()) {
-        bool covers_all = true;
-        for (const op_id o : ops) {
-            if (!wcg.compatible(o, r)) {
-                covers_all = false;
-                break;
-            }
-        }
-        if (!covers_all) {
-            continue;
-        }
-        if (!best.is_valid() || wcg.area(r) < wcg.area(best)) {
-            best = r;
-        }
-    }
-    return best;
-}
-
 // bind_chain_key (bind_select.hpp) orders the lazy Chvátal heap: maximise
-// ratio, then chain length, then prefer the smaller res_id -- the exact
-// tie-break order of the reference scan. res_ids are distinct, so keys are
-// totally ordered and the argmax unique.
+// ratio, then chain length, then prefer the smaller res_id -- the
+// tie-break order of a plain scan over every resource. res_ids are
+// distinct, so keys are totally ordered and the argmax unique.
 
 } // namespace
 
@@ -229,58 +132,56 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
         }
     };
 
-    if (options.cache_chains) {
-        // One stable counting pass (finish times are bounded by the
-        // schedule horizon) orders operations by (finish, id); distributing
-        // that order over the O(r) rows yields every resource's candidates
-        // in finish order in O(|H|), with no per-resource sort.
-        int max_finish = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            max_finish = std::max(max_finish, start_times[i] + latencies[i]);
+    // One stable counting pass (finish times are bounded by the
+    // schedule horizon) orders operations by (finish, id); distributing
+    // that order over the O(r) rows yields every resource's candidates
+    // in finish order in O(|H|), with no per-resource sort.
+    int max_finish = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        max_finish = std::max(max_finish, start_times[i] + latencies[i]);
+    }
+    auto& count = sc.count;
+    count.assign(static_cast<std::size_t>(max_finish) + 1, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+        ++count[static_cast<std::size_t>(start_times[i] + latencies[i])];
+    }
+    std::uint32_t total = 0;
+    for (auto& c : count) {
+        const std::uint32_t c0 = c;
+        c = total;
+        total += c0;
+    }
+    auto& order = sc.order;
+    order.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        order[count[static_cast<std::size_t>(start_times[i] +
+                                             latencies[i])]++] =
+            static_cast<std::uint32_t>(i);
+    }
+    sc.rows.resize(std::max(sc.rows.size(), n_res));
+    for (std::size_t r = 0; r < n_res; ++r) {
+        sc.rows[r].clear();
+    }
+    for (const std::uint32_t ov : order) {
+        const op_id o{ov};
+        const timed_op item = make_timed(o, start_times, latencies);
+        for (const res_id r : wcg.resources_for(o)) {
+            sc.rows[r.value()].push_back(item);
         }
-        auto& count = sc.count;
-        count.assign(static_cast<std::size_t>(max_finish) + 1, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            ++count[static_cast<std::size_t>(start_times[i] + latencies[i])];
-        }
-        std::uint32_t total = 0;
-        for (auto& c : count) {
-            const std::uint32_t c0 = c;
-            c = total;
-            total += c0;
-        }
-        auto& order = sc.order;
-        order.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            order[count[static_cast<std::size_t>(start_times[i] +
-                                                 latencies[i])]++] =
-                static_cast<std::uint32_t>(i);
-        }
-        sc.rows.resize(std::max(sc.rows.size(), n_res));
-        for (std::size_t r = 0; r < n_res; ++r) {
-            sc.rows[r].clear();
-        }
-        for (const std::uint32_t ov : order) {
-            const op_id o{ov};
-            const timed_op item = make_timed(o, start_times, latencies);
-            for (const res_id r : wcg.resources_for(o)) {
-                sc.rows[r.value()].push_back(item);
-            }
-        }
+    }
 
-        sc.chain_users.resize(std::max(sc.chain_users.size(), n));
-        for (std::size_t o = 0; o < n; ++o) {
-            sc.chain_users[o].clear();
-        }
-        sc.survivors.resize(std::max(sc.survivors.size(), n_res));
-        sc.memo.assign(n_res, dirty);
-        // Seed the heap with every resource's exact length (O(|H|) in
-        // total).
-        for (const res_id r : wcg.all_resources()) {
-            sc.survivors[r.value()] =
-                static_cast<std::uint32_t>(sc.rows[r.value()].size());
-            refresh(r);
-        }
+    sc.chain_users.resize(std::max(sc.chain_users.size(), n));
+    for (std::size_t o = 0; o < n; ++o) {
+        sc.chain_users[o].clear();
+    }
+    sc.survivors.resize(std::max(sc.survivors.size(), n_res));
+    sc.memo.assign(n_res, dirty);
+    // Seed the heap with every resource's exact length (O(|H|) in
+    // total).
+    for (const res_id r : wcg.all_resources()) {
+        sc.survivors[r.value()] =
+            static_cast<std::uint32_t>(sc.rows[r.value()].size());
+        refresh(r);
     }
 
     while (n_covered < n) {
@@ -288,99 +189,63 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
         // resource type the best feasible column is a longest chain of
         // uncovered compatible operations.
         res_id best_r = res_id::invalid();
-
-        if (options.cache_chains) {
-            // Lazy Chvátal selection (Minoux-style): candidate sets only
-            // shrink as operations are covered, so every chain length --
-            // and thus every selection key -- is non-increasing over
-            // rounds. The heap holds at most one key per resource (each
-            // pop pushes at most one back), always an upper bound on its
-            // current key, and exact while its memo is clean: a memo is
-            // set only together with pushing its key and afterwards can
-            // only go dirty. The first clean key popped is therefore the
-            // true argmax -- unique, as bind_chain_key is a total order --
-            // and only resources surfacing at the top are recomputed.
-            std::size_t length = 0;
-            for (;;) {
-                // Every uncovered operation keeps at least one H edge, so
-                // a key for some resource with candidates is always here.
-                MWL_ASSERT(!heap.empty());
-                const bind_chain_key top = heap_pop();
-                if (sc.memo[top.r.value()] != dirty) {
-                    MWL_ASSERT(sc.memo[top.r.value()] == top.length);
-                    best_r = top.r;
-                    length = top.length;
-                    // The resource stays selectable in later rounds; the
-                    // re-pushed key stays an upper bound as its ops get
-                    // covered.
-                    heap_push(top.r, top.length);
-                    break;
-                }
-                // Tighten to the survivor bound first: chain length can
-                // never exceed the number of uncovered candidates, and
-                // pushing the smaller bound keeps every heap key an upper
-                // bound, so the argmax argument is untouched.
-                const std::size_t bound = sc.survivors[top.r.value()];
-                if (bound < top.length) {
-                    if (bound > 0) {
-                        heap_push(top.r, bound);
-                    }
-                    continue;
-                }
-                refresh(top.r);
+        // Lazy Chvátal selection (Minoux-style): candidate sets only
+        // shrink as operations are covered, so every chain length --
+        // and thus every selection key -- is non-increasing over
+        // rounds. The heap holds at most one key per resource (each
+        // pop pushes at most one back), always an upper bound on its
+        // current key, and exact while its memo is clean: a memo is
+        // set only together with pushing its key and afterwards can
+        // only go dirty. The first clean key popped is therefore the
+        // true argmax -- unique, as bind_chain_key is a total order --
+        // and only resources surfacing at the top are recomputed.
+        std::size_t length = 0;
+        for (;;) {
+            // Every uncovered operation keeps at least one H edge, so
+            // a key for some resource with candidates is always here.
+            MWL_ASSERT(!heap.empty());
+            const bind_chain_key top = heap_pop();
+            if (sc.memo[top.r.value()] != dirty) {
+                MWL_ASSERT(sc.memo[top.r.value()] == top.length);
+                best_r = top.r;
+                length = top.length;
+                // The resource stays selectable in later rounds; the
+                // re-pushed key stays an upper bound as its ops get
+                // covered.
+                heap_push(top.r, top.length);
+                break;
             }
-            // Only the winner needs its members: the canonical chain
-            // (start, finish, id) among its uncovered candidates.
-            longest_chain_into(compact(best_r), sc.chains, best_chain);
-            MWL_ASSERT(best_chain.size() == length);
-        } else {
-            // Reference scan: recompute every resource's chain each round
-            // (the original pre-incremental behaviour; identical output).
-            double best_ratio = -1.0;
-            std::vector<timed_op>& candidates = sc.candidates;
-            for (const res_id r : wcg.all_resources()) {
-                candidates.clear();
-                for (const op_id o : wcg.ops_for(r)) {
-                    if (!covered[o.value()]) {
-                        candidates.push_back(
-                            make_timed(o, start_times, latencies));
-                    }
+            // Tighten to the survivor bound first: chain length can
+            // never exceed the number of uncovered candidates, and
+            // pushing the smaller bound keeps every heap key an upper
+            // bound, so the argmax argument is untouched.
+            const std::size_t bound = sc.survivors[top.r.value()];
+            if (bound < top.length) {
+                if (bound > 0) {
+                    heap_push(top.r, bound);
                 }
-                std::vector<timed_op> chain = longest_chain_dp(candidates);
-                if (chain.empty()) {
-                    continue;
-                }
-                const double ratio =
-                    static_cast<double>(chain.size()) / wcg.area(r);
-                const bool better =
-                    ratio > best_ratio ||
-                    (ratio == best_ratio &&
-                     (!best_r.is_valid() ||
-                      chain.size() > best_chain.size() ||
-                      (chain.size() == best_chain.size() && r < best_r)));
-                if (better) {
-                    best_ratio = ratio;
-                    best_r = r;
-                    best_chain.swap(chain);
-                }
+                continue;
             }
+            refresh(top.r);
         }
+        // Only the winner needs its members: the canonical chain
+        // (start, finish, id) among its uncovered candidates.
+        longest_chain_into(compact(best_r), sc.chains, best_chain);
+        MWL_ASSERT(best_chain.size() == length);
         MWL_ASSERT(best_r.is_valid() && !best_chain.empty());
 
         for (const timed_op& item : best_chain) {
             MWL_ASSERT(!covered[item.op.value()]);
             covered[item.op.value()] = true;
             ++n_covered;
-            if (options.cache_chains) {
-                // Only lengths whose greedy chain contains the newly
-                // covered operation can change; every other memo is exact.
-                for (const res_id r : sc.chain_users[item.op.value()]) {
-                    sc.memo[r.value()] = dirty;
-                }
-                sc.chain_users[item.op.value()].clear();
-                for (const res_id r : wcg.resources_for(item.op)) {
-                    --sc.survivors[r.value()];
-                }
+            // Only lengths whose greedy chain contains the newly
+            // covered operation can change; every other memo is exact.
+            for (const res_id r : sc.chain_users[item.op.value()]) {
+                sc.memo[r.value()] = dirty;
+            }
+            sc.chain_users[item.op.value()].clear();
+            for (const res_id r : wcg.resources_for(item.op)) {
+                --sc.survivors[r.value()];
             }
         }
 
@@ -395,14 +260,8 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
                 absorbed = false;
                 for (std::size_t j = 0; j < result.cliques.size(); ++j) {
                     const binding_clique& prev = result.cliques[j];
-                    const bool fits =
-                        options.cache_chains
-                            ? can_absorb(wcg, best_r, best_chain, prev.ops,
-                                         start_times, latencies)
-                            : can_absorb_copying(wcg, best_r, best_chain,
-                                                 prev.ops, start_times,
-                                                 latencies);
-                    if (!fits) {
+                    if (!can_absorb(wcg, best_r, best_chain, prev.ops,
+                                    start_times, latencies)) {
                         continue;
                     }
                     // Keep the sorted-by-start invariant can_absorb's
@@ -447,9 +306,7 @@ binding bind_select(const wordlength_compatibility_graph& wcg,
         // resource type still satisfying Eqn. 4 (pure improvement).
         for (binding_clique& k : result.cliques) {
             const res_id cheapest =
-                options.cache_chains
-                    ? cheapest_common_resource(wcg, k.ops, sc.hits)
-                    : cheapest_common_resource_scan(wcg, k.ops);
+                cheapest_common_resource(wcg, k.ops, sc.hits);
             MWL_ASSERT(cheapest.is_valid()); // current resource qualifies
             if (wcg.area(cheapest) < wcg.area(k.resource)) {
                 k.resource = cheapest;

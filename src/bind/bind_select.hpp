@@ -11,6 +11,13 @@
 //    cliques of a type cost the same, so only maximal ones can win);
 //  * a growth pass compensating for greed: after selecting a clique, try to
 //    grow it to swallow previously selected cliques, deleting them.
+//
+// Resources are ranked in a lazy Chvátal heap by a memoised O(k)
+// longest-chain *length* (interval-scheduling greedy), recomputed only for
+// resources whose greedy chain lost an operation and that surface at the
+// heap top; the canonical chain is built only for each round's winner.
+// The test-only oracle (tests/oracle/) recomputes every chain with the
+// quadratic DP every round; tests/bind_test.cpp checks both agree.
 
 #ifndef MWL_BIND_BIND_SELECT_HPP
 #define MWL_BIND_BIND_SELECT_HPP
@@ -32,14 +39,6 @@ struct bind_options {
     /// After covering, re-assign each clique the cheapest resource type
     /// satisfying Eqn. 4 (pure improvement; wordlength selection proper).
     bool reassign_cheapest = true;
-    /// Rank resource types in the Chvátal heap by a memoised O(k)
-    /// longest-chain *length* (interval-scheduling greedy), recomputed only
-    /// for resources whose greedy chain lost an operation and that surface
-    /// at the heap top; the canonical chain is built only for each round's
-    /// winner. Identical output. Off = recompute every resource's chain
-    /// with the original quadratic DP every round, kept for the
-    /// before/after bench and regression tests.
-    bool cache_chains = true;
 };
 
 /// Selection key of the lazy Chvátal heap (see bind_select.cpp); public
@@ -73,7 +72,6 @@ struct bind_scratch {
     std::vector<std::uint32_t> order;            ///< by-finish op order
     std::vector<std::uint32_t> count;            ///< counting-sort histogram
     std::vector<bind_chain_key> heap;            ///< lazy selection heap
-    std::vector<timed_op> candidates;
     std::vector<timed_op> best_chain;
     std::vector<timed_op> merge_tmp;
     std::vector<std::uint32_t> hits;

@@ -1,28 +1,13 @@
 #include "campaign/report.hpp"
 
+#include "support/json.hpp"
+
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <sstream>
 
 namespace mwl {
-
-namespace {
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
-}
-
-} // namespace
 
 campaign_status status_of(const std::vector<campaign_point>& points,
                           const result_store& store)

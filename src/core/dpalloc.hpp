@@ -11,11 +11,18 @@
 //      wordlength information of one operation on the bound critical path
 //      (§2.4) and repeat; otherwise record the feasible solution.
 //
-// Extensions beyond the paper's text (all documented in DESIGN.md):
+// Extensions beyond the paper's text:
 //   * capacity escalation when refinement is exhausted (the paper is silent
 //     on parallelism-starved instances; without this the loop cannot
 //     terminate on them),
 //   * options to disable individual ingredients for the ablation benches.
+//
+// The loop carries caches across iterations (scheduling-set memo, reused
+// scheduling and binding buffers, cached latency bounds) and assembles the
+// datapath only on exit; PERF.md lists the invariant of each. None of them
+// changes a result: the test-only oracle (tests/oracle/) re-derives
+// everything from scratch every iteration, and the parity suites require
+// byte-identical allocations.
 
 #ifndef MWL_CORE_DPALLOC_HPP
 #define MWL_CORE_DPALLOC_HPP
@@ -36,14 +43,6 @@ struct dpalloc_options {
     /// Ablation: use the classic per-type constraint (Eqn. 2) instead of
     /// the paper's incomplete-wordlength constraint (Eqn. 3').
     bool classic_constraint = false;
-    /// Run the incremental pipeline: event-driven scheduling, memoized /
-    /// warm-started scheduling-set covers keyed on the WCG edge version,
-    /// chain caching in BindSelect, and reused scheduling buffers across
-    /// refinement iterations. `false` re-derives everything from scratch
-    /// every iteration (the original pipeline) and exists for the
-    /// regression tests and bench/iteration_scaling.cpp; both settings
-    /// produce byte-identical results (see PERF.md).
-    bool incremental = true;
     /// Initial instances per scheduling-set member (paper: 1).
     int initial_capacity = 1;
     /// Safety bound on refinement iterations; never reached in practice

@@ -6,6 +6,7 @@
 #include "dfg/analysis.hpp"
 #include "ilp/formulation.hpp"
 #include "rtl/netlist.hpp"
+#include "support/json.hpp"
 #include "tgff/corpus.hpp"
 
 #include <cctype>
@@ -25,19 +26,6 @@ std::string json_number(double value)
     std::ostringstream out;
     out << std::setprecision(17) << value;
     return out.str();
-}
-
-std::string escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
 }
 
 // ---------------------------------------------------------- JSON parsing --
@@ -344,7 +332,7 @@ std::string to_json(const quality_report& report)
     std::ostringstream out;
     out << "{\n"
         << "  \"format_version\": " << quality_format_version << ",\n"
-        << "  \"scenario\": \"" << escape(report.scenario) << "\",\n"
+        << "  \"scenario\": \"" << json_escape(report.scenario) << "\",\n"
         << "  \"ops\": " << report.ops << ",\n"
         << "  \"edges\": " << report.edges << ",\n"
         << "  \"lambda_min\": " << report.lambda_min << ",\n"
@@ -362,7 +350,7 @@ std::string to_json(const quality_report& report)
         const allocator_quality& a = report.allocators[i];
         const quality_metrics& m = a.metrics;
         out << (i == 0 ? "" : ",") << "\n    {\"name\": \""
-            << escape(a.allocator) << "\", \"lambda\": " << m.lambda
+            << json_escape(a.allocator) << "\", \"lambda\": " << m.lambda
             << ", \"latency\": " << m.latency
             << ", \"fu_count\": " << m.fu_count
             << ", \"fu_area\": " << json_number(m.fu_area)

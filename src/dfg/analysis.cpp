@@ -3,6 +3,9 @@
 #include "support/error.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <string>
 
 namespace mwl {
 namespace {
@@ -36,12 +39,21 @@ std::vector<int> asap_start_times(const sequencing_graph& graph,
     check_latencies(graph, latencies);
     std::vector<int> start(graph.size(), 0);
     for (const op_id o : graph.topological_order()) {
-        int earliest = 0;
+        std::int64_t earliest = 0;
         for (const op_id p : graph.predecessors(o)) {
-            earliest = std::max(earliest,
-                                start[p.value()] + latencies[p.value()]);
+            earliest = std::max(earliest, std::int64_t{start[p.value()]} +
+                                              latencies[p.value()]);
         }
-        start[o.value()] = earliest;
+        // Check the finish, not just the start: schedule_length and the
+        // critical-path length add the latency back on in int.
+        const std::int64_t finish = earliest + latencies[o.value()];
+        if (finish > std::numeric_limits<int>::max()) {
+            throw precondition_error(
+                "a dependency path of " + std::to_string(finish) +
+                " control steps exceeds " +
+                std::to_string(std::numeric_limits<int>::max()));
+        }
+        start[o.value()] = static_cast<int>(earliest);
     }
     return start;
 }

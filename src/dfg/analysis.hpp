@@ -21,6 +21,7 @@ namespace mwl {
 
 /// Earliest start time of every operation with unlimited resources.
 /// `latencies[o]` is the latency assumed for operation o (all >= 1).
+/// Throws `precondition_error` if a finish time does not fit an int.
 [[nodiscard]] std::vector<int> asap_start_times(
     const sequencing_graph& graph, std::span<const int> latencies);
 

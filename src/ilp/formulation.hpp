@@ -1,7 +1,8 @@
 // Time-indexed ILP for combined scheduling, resource binding and
 // wordlength selection -- the optimal reference of [5] (Constantinides,
-// Cheung, Luk, IEE Electronics Letters 36(17), 2000), reconstructed (the
-// letter's text is not available; see DESIGN.md §3).
+// Cheung, Luk, IEE Electronics Letters 36(17), 2000), reconstructed from
+// the DPAlloc paper's description because the letter's text is not
+// available.
 //
 // Decision variables:
 //   x[o,r,t] in {0,1}:  operation o starts at control step t on a resource

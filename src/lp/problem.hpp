@@ -2,9 +2,8 @@
 //
 // The paper solves its ILP formulation with `lp_solve` [15]; that solver is
 // not available offline, so src/lp is this repository's self-contained
-// replacement (DESIGN.md §7, substitution 1): a builder (this header), a
-// bounded-variable primal simplex (simplex.hpp) and a branch-and-bound
-// wrapper (branch_bound.hpp).
+// replacement: a builder (this header), a bounded-variable primal simplex
+// (simplex.hpp) and a branch-and-bound wrapper (branch_bound.hpp).
 //
 // Scope: minimisation over variables with *finite* bounds -- every model in
 // this repository is naturally box-bounded, and finite bounds keep the

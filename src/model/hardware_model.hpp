@@ -6,10 +6,9 @@
 // "the area model presented in [5]"; the Electronics Letters text is not
 // available, so this reproduction uses the LUT-proportional model standard in
 // the same authors' line of work (area(add, n) = n, area(mul, n, m) = n*m)
-// and keeps the whole model *pluggable* behind `hardware_model` (see
-// DESIGN.md section 7, substitution 2 -- every reproduced result is an area
-// ratio under a common model, so the shape of the results is preserved by
-// any monotone wordlength-proportional model).
+// and keeps the whole model *pluggable* behind `hardware_model`: every
+// reproduced result is an area ratio under a common model, so the shape of
+// the results is preserved by any monotone wordlength-proportional model.
 
 #ifndef MWL_MODEL_HARDWARE_MODEL_HPP
 #define MWL_MODEL_HARDWARE_MODEL_HPP

@@ -1,7 +1,7 @@
 // Event-driven list-scheduling engine shared by the classic (Eqn. 2) and
 // incomplete-wordlength (Eqn. 3') schedulers.
 //
-// The reference schedulers rescan the whole graph at every control step to
+// A plain list scheduler rescans the whole graph at every control step to
 // find ready operations -- O(T * N * deg) for a schedule of length T. This
 // engine discovers readiness by *events* instead: each operation carries a
 // pending-predecessor counter, and when its last predecessor completes it is
@@ -10,11 +10,11 @@
 // O(V + E + sum over steps of |ready|), and steps with nothing ready are
 // skipped outright by jumping to the next bucket event.
 //
-// The engine reproduces the reference schedulers' output exactly: at every
+// The engine reproduces the rescanning scheduler's output exactly: at every
 // step the ready pool is sorted by the same (priority desc, op id asc) total
-// order the reference scan used, and placement attempts happen in that
-// order. Regression-tested in tests/sched_test.cpp and
-// tests/incremental_regression_test.cpp.
+// order, and placement attempts happen in that order. The rescanning
+// schedulers live on as the test-only oracle (tests/oracle/) that
+// tests/incremental_regression_test.cpp compares against.
 //
 // All per-pass buffers live in an event_schedule_workspace so a caller
 // iterating schedule/refine rounds (core/dpalloc.cpp) pays no per-iteration
@@ -30,18 +30,19 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace mwl {
 
-/// Which scheduling engine a scheduler entry point should run. `event` is
-/// the production engine; `reference_scan` keeps the original per-step
-/// full-graph rescan alive for regression tests and the before/after bench
-/// (bench/iteration_scaling.cpp).
+/// The scheduling engine. There is only one; the type and the defaulted
+/// trailing parameter of schedule_incomplete remain because existing
+/// callers (the benchmark's phase replay) still pass `sched_engine::event`.
+/// Nothing branches on it.
 enum class sched_engine {
     event,
-    reference_scan,
 };
 
 /// Reusable buffers for event_schedule and its callers. Safe to reuse
@@ -156,16 +157,24 @@ void event_schedule(const sequencing_graph& graph,
 
 /// Schedule horizon shared by both schedulers: serialising everything is
 /// always feasible, and the extra max-latency slack keeps occupancy probes
-/// in range near the end.
+/// in range near the end. Summed in 64 bits; throws `precondition_error`
+/// naming the total if it does not fit an int.
 [[nodiscard]] inline int serial_horizon(std::span<const int> latencies)
 {
-    int horizon = 0;
+    std::int64_t horizon = 0;
     int max_latency = 0;
     for (const int latency : latencies) {
         horizon += latency;
         max_latency = std::max(max_latency, latency);
     }
-    return horizon + max_latency;
+    horizon += max_latency;
+    if (horizon > std::numeric_limits<int>::max()) {
+        throw precondition_error(
+            "schedule horizon " + std::to_string(horizon) +
+            " (the sum of all operation latencies plus the longest) exceeds " +
+            std::to_string(std::numeric_limits<int>::max()));
+    }
+    return static_cast<int>(horizon);
 }
 
 } // namespace mwl

@@ -24,76 +24,6 @@ struct member_table {
     }
 };
 
-/// Reference placement loop: the original per-step full-graph ready rescan.
-/// Kept verbatim for the regression tests and the before/after bench; the
-/// production path is the event engine below.
-void reference_scan_pass(
-    const sequencing_graph& graph, std::span<const int> upper,
-    std::span<const int> priority, const member_table& members_of_op,
-    std::span<std::int64_t> usage, int horizon, std::int64_t scale,
-    std::int64_t budget, std::vector<int>& start)
-{
-    const auto usage_row = [&](std::size_t mi) {
-        return usage.subspan(mi * static_cast<std::size_t>(horizon),
-                             static_cast<std::size_t>(horizon));
-    };
-    std::size_t scheduled = 0;
-    for (int t = 0; scheduled < graph.size(); ++t) {
-        MWL_ASSERT(t < horizon);
-        std::vector<op_id> ready;
-        for (const op_id o : graph.all_ops()) {
-            if (start[o.value()] >= 0) {
-                continue;
-            }
-            bool ok = true;
-            for (const op_id p : graph.predecessors(o)) {
-                const int ps = start[p.value()];
-                if (ps < 0 || ps + upper[p.value()] > t) {
-                    ok = false;
-                    break;
-                }
-            }
-            if (ok) {
-                ready.push_back(o);
-            }
-        }
-        std::sort(ready.begin(), ready.end(), [&](op_id a, op_id b) {
-            if (priority[a.value()] != priority[b.value()]) {
-                return priority[a.value()] > priority[b.value()];
-            }
-            return a < b;
-        });
-
-        for (const op_id o : ready) {
-            const auto members = members_of_op.row(o.value());
-            const std::int64_t share =
-                scale / static_cast<std::int64_t>(members.size());
-            const int lat = upper[o.value()];
-            bool fits = true;
-            for (const std::size_t mi : members) {
-                const auto row = usage_row(mi);
-                for (int u = t; u < t + lat && fits; ++u) {
-                    fits = row[static_cast<std::size_t>(u)] + share <= budget;
-                }
-                if (!fits) {
-                    break;
-                }
-            }
-            if (!fits) {
-                continue;
-            }
-            start[o.value()] = t;
-            ++scheduled;
-            for (const std::size_t mi : members) {
-                const auto row = usage_row(mi);
-                for (int u = t; u < t + lat; ++u) {
-                    row[static_cast<std::size_t>(u)] += share;
-                }
-            }
-        }
-    }
-}
-
 /// Signature-tournament fast path for the event engine. It exploits two
 /// facts about the generic (priority desc, id asc) sweep:
 ///
@@ -179,7 +109,7 @@ void signature_tournament_pass(
 
     // Min-heap over packed keys: complementing the priority makes larger
     // priorities smaller keys, and the id in the low bits breaks ties
-    // ascending -- the reference (priority desc, id asc) total order.
+    // ascending -- the list-scheduling (priority desc, id asc) order.
     const auto key_of = [&](op_id o) {
         return (static_cast<std::uint64_t>(
                     ~static_cast<std::uint32_t>(priority[o.value()]))
@@ -319,7 +249,7 @@ void signature_tournament_pass(
 
 incomplete_schedule_result schedule_incomplete(
     const wordlength_compatibility_graph& wcg, int capacity,
-    incomplete_sched_scratch* scratch, sched_engine engine)
+    incomplete_sched_scratch* scratch, sched_engine /*engine*/)
 {
     require(capacity >= 1, "scheduling-set member capacity must be >= 1");
 
@@ -344,24 +274,12 @@ incomplete_schedule_result schedule_incomplete(
     // flat CSR table (count, prefix-sum, fill) whose row storage comes from
     // the scratch's bump arena: one rewind per call instead of |O| vectors.
     sc.arena.reset();
+    // One pass over the members' O(s) adjacency lists -- O(E).
     auto& off = sc.members_off;
     off.assign(graph.size() + 1, 0);
-    if (engine == sched_engine::reference_scan) {
-        // Pre-incremental construction: probe every (operation, member)
-        // pair -- O(N * M).
-        for (const op_id o : graph.all_ops()) {
-            for (std::size_t mi = 0; mi < n_members; ++mi) {
-                if (wcg.compatible(o, cover.members[mi])) {
-                    ++off[o.value() + 1];
-                }
-            }
-        }
-    } else {
-        // One pass over the members' O(s) adjacency lists -- O(E).
-        for (std::size_t mi = 0; mi < n_members; ++mi) {
-            for (const op_id o : wcg.ops_for(cover.members[mi])) {
-                ++off[o.value() + 1];
-            }
+    for (std::size_t mi = 0; mi < n_members; ++mi) {
+        for (const op_id o : wcg.ops_for(cover.members[mi])) {
+            ++off[o.value() + 1];
         }
     }
     for (std::size_t i = 1; i < off.size(); ++i) {
@@ -371,19 +289,9 @@ incomplete_schedule_result schedule_incomplete(
         sc.arena.alloc<std::size_t>(off.back());
     auto& cursor = sc.members_cursor;
     cursor.assign(off.begin(), off.end() - 1);
-    if (engine == sched_engine::reference_scan) {
-        for (const op_id o : graph.all_ops()) {
-            for (std::size_t mi = 0; mi < n_members; ++mi) {
-                if (wcg.compatible(o, cover.members[mi])) {
-                    flat[cursor[o.value()]++] = mi;
-                }
-            }
-        }
-    } else {
-        for (std::size_t mi = 0; mi < n_members; ++mi) {
-            for (const op_id o : wcg.ops_for(cover.members[mi])) {
-                flat[cursor[o.value()]++] = mi;
-            }
+    for (std::size_t mi = 0; mi < n_members; ++mi) {
+        for (const op_id o : wcg.ops_for(cover.members[mi])) {
+            flat[cursor[o.value()]++] = mi;
         }
     }
     const member_table members_of_op{off, flat};
@@ -409,7 +317,7 @@ incomplete_schedule_result schedule_incomplete(
     // one flat arena reused across calls through the scratch.
     auto& usage = sc.ws.usage;
 
-    if (engine == sched_engine::event && n_members <= 64) {
+    if (n_members <= 64) {
         MWL_ASSERT(graph.size() <= 0xffffffffU); // packed-key id width
         // All-zero invariant: the fast path re-zeroes exactly the windows
         // it committed before returning (signature_tournament_pass), so a
@@ -428,40 +336,34 @@ incomplete_schedule_result schedule_incomplete(
         return result;
     }
 
+    // More than 64 members: the signature bitmask no longer fits, so run
+    // the generic event sweep with a full-window probe.
     usage.assign(n_members * static_cast<std::size_t>(horizon), 0);
     sc.usage_zeroed = false;
-
-    if (engine == sched_engine::reference_scan) {
-        reference_scan_pass(graph, upper, priority, members_of_op, usage,
-                            horizon, scale, budget, result.start);
-    } else {
-        const auto try_place = [&](op_id o, int t) {
-            const auto members = members_of_op.row(o.value());
-            const std::int64_t share =
-                scale / static_cast<std::int64_t>(members.size());
-            const int lat = upper[o.value()];
-            for (const std::size_t mi : members) {
-                const std::size_t base =
-                    mi * static_cast<std::size_t>(horizon);
-                for (int u = t; u < t + lat; ++u) {
-                    if (usage[base + static_cast<std::size_t>(u)] + share >
-                        budget) {
-                        return false;
-                    }
+    const auto try_place = [&](op_id o, int t) {
+        const auto members = members_of_op.row(o.value());
+        const std::int64_t share =
+            scale / static_cast<std::int64_t>(members.size());
+        const int lat = upper[o.value()];
+        for (const std::size_t mi : members) {
+            const std::size_t base = mi * static_cast<std::size_t>(horizon);
+            for (int u = t; u < t + lat; ++u) {
+                if (usage[base + static_cast<std::size_t>(u)] + share >
+                    budget) {
+                    return false;
                 }
             }
-            for (const std::size_t mi : members) {
-                const std::size_t base =
-                    mi * static_cast<std::size_t>(horizon);
-                for (int u = t; u < t + lat; ++u) {
-                    usage[base + static_cast<std::size_t>(u)] += share;
-                }
+        }
+        for (const std::size_t mi : members) {
+            const std::size_t base = mi * static_cast<std::size_t>(horizon);
+            for (int u = t; u < t + lat; ++u) {
+                usage[base + static_cast<std::size_t>(u)] += share;
             }
-            return true;
-        };
-        event_schedule(graph, upper, priority, horizon, result.start, sc.ws,
-                       try_place);
-    }
+        }
+        return true;
+    };
+    event_schedule(graph, upper, priority, horizon, result.start, sc.ws,
+                   try_place);
 
     result.length = schedule_length(graph, upper, result.start);
     return result;

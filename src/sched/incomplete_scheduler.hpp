@@ -1,9 +1,10 @@
 // Scheduling with incomplete wordlength information (paper §2.2).
 //
 // The scheduler is a latency-weighted list scheduler whose resource test is
-// the paper's Eqn. 3 (reconstructed as Eqn. 3' -- see DESIGN.md §2.2):
-// given the minimum-cardinality scheduling set S covering all operations,
-// for every member s of S and control step t
+// the paper's Eqn. 3, written out here as Eqn. 3' from the paper's prose
+// description of how shared usage is divided: given the
+// minimum-cardinality scheduling set S covering all operations, for every
+// member s of S and control step t
 //
 //     sum over o in O(s) executing at t of  1/|S(o)|   <=   capacity(s)
 //
@@ -13,8 +14,9 @@
 // the lcm of the |S(o)| values) so no epsilon tuning can change a schedule.
 //
 // With capacity 1 per member this is DPAlloc's maximal-sharing mode; the
-// capacity parameter exists for the driver's escalation path (DESIGN.md,
-// "completion for parallelism-starved instances").
+// capacity parameter exists for the driver's capacity escalation, which
+// lets DPAlloc terminate on parallelism-starved instances the paper's loop
+// cannot finish (core/dpalloc.hpp).
 
 #ifndef MWL_SCHED_INCOMPLETE_SCHEDULER_HPP
 #define MWL_SCHED_INCOMPLETE_SCHEDULER_HPP
@@ -71,9 +73,10 @@ struct incomplete_sched_scratch {
 /// L_o derived from the current H edges. `capacity` is the number of
 /// resource instances each scheduling-set member may represent (>= 1).
 /// `scratch` (optional) carries reusable buffers and the scheduling-set
-/// memo across calls; `engine` selects the event-driven engine or the
-/// original full-rescan reference (identical output, see
-/// sched/event_engine.hpp).
+/// memo across calls. Covers of up to 64 members run the signature
+/// tournament; larger ones the generic event_schedule sweep (identical
+/// output). `sched_engine` has a single value and is ignored; the
+/// parameter stays only for callers that still pass it.
 [[nodiscard]] incomplete_schedule_result schedule_incomplete(
     const wordlength_compatibility_graph& wcg, int capacity = 1,
     incomplete_sched_scratch* scratch = nullptr,

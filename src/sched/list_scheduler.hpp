@@ -39,13 +39,12 @@ struct list_schedule_result {
 /// Latency-weighted list scheduling. `latencies[o]` is the latency assumed
 /// for operation o. Deterministic (critical-path priority, op-id
 /// tie-break). Throws `precondition_error` on non-positive limits or
-/// latency/graph size mismatch. `scratch` (optional) reuses the event
-/// engine's buffers across calls; `engine` selects the event-driven engine
-/// or the original full-rescan reference (identical output).
+/// latency/graph size mismatch. Runs on the event engine
+/// (sched/event_engine.hpp); `scratch` (optional) reuses its buffers
+/// across calls.
 [[nodiscard]] list_schedule_result list_schedule(
     const sequencing_graph& graph, std::span<const int> latencies,
-    const type_limits& limits, event_schedule_workspace* scratch = nullptr,
-    sched_engine engine = sched_engine::event);
+    const type_limits& limits, event_schedule_workspace* scratch = nullptr);
 
 } // namespace mwl
 

@@ -2,6 +2,8 @@
 // feasibility of emitted cliques, the growth pass, cheapest-resource
 // wordlength selection and binding/schedule consistency.
 
+#include "oracle.hpp"
+
 #include "bind/bind_select.hpp"
 #include "model/hardware_model.hpp"
 #include "sched/incomplete_scheduler.hpp"
@@ -295,15 +297,14 @@ binding bind_scheduled(const wordlength_compatibility_graph& wcg,
 TEST(BindSelect, CachedChainsMatchReferenceOnRefinedPresetGraphs)
 {
     // The length-memo heap must pick the very same clique every round as
-    // the recompute-everything reference, on real DPAlloc inputs: preset
-    // graphs as scheduled, then after §2.4 refinements deleted H edges.
+    // the oracle's recompute-everything BindSelect, on real DPAlloc inputs:
+    // preset graphs as scheduled, then after §2.4 refinements deleted H
+    // edges.
     const std::uint64_t seed =
         testing::env_seed("MWL_BIND_SEED", large_graph_seed_base);
     MWL_TRACE_SEED("MWL_BIND_SEED", seed);
     rng pick(seed);
     const sonic_model model;
-    bind_options reference;
-    reference.cache_chains = false;
     bind_scratch scratch;
     for (const std::size_t n :
          {std::size_t{50}, std::size_t{120}, std::size_t{200},
@@ -314,7 +315,9 @@ TEST(BindSelect, CachedChainsMatchReferenceOnRefinedPresetGraphs)
         for (int step = 0; step < 4; ++step) {
             SCOPED_TRACE("after " + std::to_string(step) + " refinements");
             const binding cached = bind_scheduled(wcg, {}, &scratch);
-            expect_same_binding(cached, bind_scheduled(wcg, reference));
+            expect_same_binding(
+                cached, oracle::bind_select(wcg, schedule_incomplete(wcg).start,
+                                            wcg.latency_upper_bounds()));
             // Refine a random refinable operation, as DPAlloc's §2.4 step
             // does, so the next round sees a sparser H.
             std::vector<op_id> refinable;

@@ -1,11 +1,14 @@
 // Property / fuzz tests for the O(k log k) chain utilities against the
-// original quadratic implementations, kept here as oracles.
+// original quadratic implementations: the longest-chain DP of the
+// test-only oracle (tests/oracle/) and an all-pairs is_chain.
 //
 // longest_chain's sweep is required to reproduce the original DP *exactly*
 // (same chain, not merely the same length): BindSelect's output -- and
 // hence every DPAlloc allocation -- depends on which maximum chain is
-// picked, and the incremental-vs-reference regression suite
+// picked, and the production-vs-oracle regression suite
 // (incremental_regression_test.cpp) relies on bit-identical results.
+
+#include "oracle.hpp"
 
 #include "support/rng.hpp"
 #include "wcg/chains.hpp"
@@ -20,54 +23,7 @@
 namespace mwl {
 namespace {
 
-/// The original O(k^2) longest-chain DP, verbatim: canonical sort, strict
-/// improvement scan (keeps the first maximal predecessor), first-index
-/// argmax over chain ends.
-std::vector<timed_op> longest_chain_dp(std::span<const timed_op> items)
-{
-    if (items.empty()) {
-        return {};
-    }
-
-    std::vector<timed_op> sorted(items.begin(), items.end());
-    std::sort(sorted.begin(), sorted.end(),
-              [](const timed_op& a, const timed_op& b) {
-                  if (a.start != b.start) {
-                      return a.start < b.start;
-                  }
-                  if (a.finish() != b.finish()) {
-                      return a.finish() < b.finish();
-                  }
-                  return a.op < b.op;
-              });
-
-    const std::size_t n = sorted.size();
-    constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::vector<std::size_t> dp(n, 1);
-    std::vector<std::size_t> back(n, npos);
-    for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (precedes(sorted[j], sorted[i]) && dp[j] + 1 > dp[i]) {
-                dp[i] = dp[j] + 1;
-                back[i] = j;
-            }
-        }
-    }
-
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < n; ++i) {
-        if (dp[i] > dp[best]) {
-            best = i;
-        }
-    }
-
-    std::vector<timed_op> chain;
-    for (std::size_t at = best; at != npos; at = back[at]) {
-        chain.push_back(sorted[at]);
-    }
-    std::reverse(chain.begin(), chain.end());
-    return chain;
-}
+using oracle::longest_chain_dp;
 
 /// The original all-pairs is_chain.
 bool is_chain_pairwise(std::span<const timed_op> items)

@@ -639,6 +639,40 @@ TEST(CliAlloc, OverflowingMultiplierWidthsExitTwo)
                       "exceeds 2147483647");
 }
 
+/// Nine multipliers whose width sum (INT_MAX - 1) is legal on its own,
+/// each with a latency of 2^28 cycles; `chained` links them with deps.
+std::string nine_wide_multipliers(bool chained)
+{
+    std::string text;
+    for (int i = 1; i <= 9; ++i) {
+        text += "op m" + std::to_string(i) + " mul 1073741823 1073741823\\n";
+    }
+    for (int i = 1; chained && i < 9; ++i) {
+        text += "dep m" + std::to_string(i) + " m" + std::to_string(i + 1) +
+                "\\n";
+    }
+    return "printf '" + text + "' | " + tool("mwl_alloc") + " -";
+}
+
+TEST(CliAlloc, OverflowingScheduleHorizonExitsTwo)
+{
+    // Regression: the serial schedule horizon summed latencies in int; the
+    // overflow went negative and aborted on an uncaught length_error.
+    expect_fails_with(nine_wide_multipliers(false), 2,
+                      "mwl_alloc: schedule horizon 2684354560 (the sum of "
+                      "all operation latencies plus the longest) exceeds "
+                      "2147483647");
+}
+
+TEST(CliAlloc, OverflowingCriticalPathExitsTwo)
+{
+    // Regression: the ASAP start times behind lambda_min summed latencies
+    // in int, with the same abort.
+    expect_fails_with(nine_wide_multipliers(true), 2,
+                      "mwl_alloc: a dependency path of 2147483648 control "
+                      "steps exceeds 2147483647");
+}
+
 // ------------------------------------------------------------- mwl_verify --
 
 TEST(CliVerify, BadNumericFlagValuesExitTwoNotAbort)

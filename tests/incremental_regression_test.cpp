@@ -2,8 +2,10 @@
 // engine introduced for speed (event-driven scheduling, memoized /
 // warm-started scheduling sets, chain memoization in BindSelect, cached
 // WCG latency bounds) must leave results *byte-identical* to the
-// from-scratch reference pipeline on the tgff corpus. See PERF.md for the
-// invariants each cache maintains.
+// from-scratch reference pipeline, the test-only oracle in tests/oracle/.
+// See PERF.md for the invariants each cache maintains.
+
+#include "oracle.hpp"
 
 #include "core/dpalloc.hpp"
 #include "sched/incomplete_scheduler.hpp"
@@ -48,19 +50,15 @@ void expect_identical(const dpalloc_result& a, const dpalloc_result& b,
 TEST(IncrementalRegression, DpallocIdenticalOnTgffCorpus)
 {
     const sonic_model model;
-    for (const std::size_t n : {4u, 8u, 12u, 16u, 20u}) {
+    for (const std::size_t n : {4u, 8u, 12u, 16u, 20u, 50u, 75u}) {
         const auto corpus = make_corpus(n, 4, model, 777);
         for (std::size_t gi = 0; gi < corpus.size(); ++gi) {
             const corpus_entry& e = corpus[gi];
             for (const double slack : {0.0, 0.1, 0.3}) {
                 const int lambda = relaxed_lambda(e.lambda_min, slack);
-                dpalloc_options incremental;
-                dpalloc_options reference;
-                reference.incremental = false;
-                const dpalloc_result a =
-                    dpalloc(e.graph, model, lambda, incremental);
+                const dpalloc_result a = dpalloc(e.graph, model, lambda);
                 const dpalloc_result b =
-                    dpalloc(e.graph, model, lambda, reference);
+                    oracle::dpalloc(e.graph, model, lambda);
                 expect_identical(a, b,
                                  "n=" + std::to_string(n) + " graph=" +
                                      std::to_string(gi) + " slack=" +
@@ -76,14 +74,12 @@ TEST(IncrementalRegression, DpallocIdenticalUnderClassicConstraint)
     const auto corpus = make_corpus(12, 4, model, 778);
     for (std::size_t gi = 0; gi < corpus.size(); ++gi) {
         const corpus_entry& e = corpus[gi];
-        dpalloc_options incremental;
-        incremental.classic_constraint = true;
-        dpalloc_options reference = incremental;
-        reference.incremental = false;
+        dpalloc_options classic;
+        classic.classic_constraint = true;
         const dpalloc_result a =
-            dpalloc(e.graph, model, e.lambda_min, incremental);
+            dpalloc(e.graph, model, e.lambda_min, classic);
         const dpalloc_result b =
-            dpalloc(e.graph, model, e.lambda_min, reference);
+            oracle::dpalloc(e.graph, model, e.lambda_min, classic);
         expect_identical(a, b, "classic graph=" + std::to_string(gi));
     }
 }
@@ -95,14 +91,13 @@ TEST(IncrementalRegression, DpallocIdenticalWithoutGrowthAndReassign)
     const sonic_model model;
     const auto corpus = make_corpus(10, 3, model, 779);
     for (const corpus_entry& e : corpus) {
-        dpalloc_options incremental;
-        incremental.enable_growth = false;
-        incremental.reassign_cheapest = false;
-        dpalloc_options reference = incremental;
-        reference.incremental = false;
-        expect_identical(dpalloc(e.graph, model, e.lambda_min, incremental),
-                         dpalloc(e.graph, model, e.lambda_min, reference),
-                         "ablation");
+        dpalloc_options ablated;
+        ablated.enable_growth = false;
+        ablated.reassign_cheapest = false;
+        expect_identical(
+            dpalloc(e.graph, model, e.lambda_min, ablated),
+            oracle::dpalloc(e.graph, model, e.lambda_min, ablated),
+            "ablation");
     }
 }
 
@@ -117,10 +112,10 @@ TEST(IncrementalRegression, EventScheduleMatchesReferenceScan)
         wordlength_compatibility_graph wcg(g, model);
         for (const int capacity : {1, 2}) {
             incomplete_sched_scratch scratch;
-            const incomplete_schedule_result ev = schedule_incomplete(
-                wcg, capacity, &scratch, sched_engine::event);
-            const incomplete_schedule_result ref = schedule_incomplete(
-                wcg, capacity, nullptr, sched_engine::reference_scan);
+            const incomplete_schedule_result ev =
+                schedule_incomplete(wcg, capacity, &scratch);
+            const incomplete_schedule_result ref =
+                oracle::schedule_incomplete(wcg, capacity);
             EXPECT_EQ(ev.start, ref.start) << "trial " << trial;
             EXPECT_EQ(ev.length, ref.length) << "trial " << trial;
             EXPECT_EQ(ev.scheduling_set, ref.scheduling_set)
@@ -133,11 +128,55 @@ TEST(IncrementalRegression, EventScheduleMatchesReferenceScan)
                 break;
             }
         }
-        const incomplete_schedule_result ev =
-            schedule_incomplete(wcg, 1, nullptr, sched_engine::event);
-        const incomplete_schedule_result ref = schedule_incomplete(
-            wcg, 1, nullptr, sched_engine::reference_scan);
+        const incomplete_schedule_result ev = schedule_incomplete(wcg, 1);
+        const incomplete_schedule_result ref =
+            oracle::schedule_incomplete(wcg, 1);
         EXPECT_EQ(ev.start, ref.start) << "refined trial " << trial;
+    }
+}
+
+/// 70 independent multipliers of widths i x (136 - i): 68 shapes up to
+/// operand order, none covering another, so once fully refined each shape
+/// needs its own resource and the scheduling set grows past 64 members.
+sequencing_graph wide_antichain()
+{
+    sequencing_graph g;
+    for (int i = 1; i <= 70; ++i) {
+        g.add_operation(op_shape::multiplier(i, 136 - i));
+    }
+    return g;
+}
+
+TEST(IncrementalRegression, WideCoverMatchesOracle)
+{
+    // Covers of more than 64 members leave the signature tournament for
+    // the generic event sweep; the oracle must agree there too.
+    const sequencing_graph g = wide_antichain();
+    const sonic_model model;
+    wordlength_compatibility_graph wcg(g, model);
+    for (const op_id o : g.all_ops()) {
+        while (wcg.refinable(o)) {
+            wcg.refine_op(o);
+        }
+    }
+    incomplete_sched_scratch scratch;
+    for (const int capacity : {1, 2}) {
+        const incomplete_schedule_result ev =
+            schedule_incomplete(wcg, capacity, &scratch);
+        ASSERT_GT(ev.scheduling_set.size(), 64u);
+        const incomplete_schedule_result ref =
+            oracle::schedule_incomplete(wcg, capacity);
+        EXPECT_EQ(ev.start, ref.start) << "capacity " << capacity;
+        EXPECT_EQ(ev.length, ref.length) << "capacity " << capacity;
+        EXPECT_EQ(ev.scheduling_set, ref.scheduling_set)
+            << "capacity " << capacity;
+    }
+    // The full loop passes through covers of 65-68 members on the way, at
+    // lambda_min (with a capacity escalation) and at twice it (without).
+    for (const int lambda : {17, 34}) {
+        expect_identical(dpalloc(g, model, lambda),
+                         oracle::dpalloc(g, model, lambda),
+                         "wide antichain lambda=" + std::to_string(lambda));
     }
 }
 
@@ -159,10 +198,10 @@ TEST(IncrementalRegression, EventListScheduleMatchesReferenceScan)
             limits.add = limit;
             limits.mul = limit;
             event_schedule_workspace ws;
-            const list_schedule_result ev = list_schedule(
-                g, lat, limits, &ws, sched_engine::event);
-            const list_schedule_result ref = list_schedule(
-                g, lat, limits, nullptr, sched_engine::reference_scan);
+            const list_schedule_result ev =
+                list_schedule(g, lat, limits, &ws);
+            const list_schedule_result ref =
+                oracle::list_schedule(g, lat, limits);
             EXPECT_EQ(ev.start, ref.start)
                 << "trial " << trial << " limit " << limit;
             EXPECT_EQ(ev.length, ref.length)

@@ -9,6 +9,8 @@
 // (its first graph per size is exactly the seed-base + n graph pinned
 // here), so these pins are what make that artifact's numbers meaningful.
 
+#include "oracle.hpp"
+
 #include "core/dpalloc.hpp"
 #include "dfg/analysis.hpp"
 #include "model/hardware_model.hpp"
@@ -61,15 +63,14 @@ TEST(LargeGraphIdentity, PinnedAllocStats1000)
 TEST(LargeGraphIdentity, EngineParity500)
 {
     // The event engine's fast paths (signature tournament, front heap,
-    // arena CSR) against the plain rescan reference on a preset graph:
+    // arena CSR) against the oracle's plain rescan on a preset graph:
     // identical schedule, makespan, and scheduling set, by contract.
     const sequencing_graph g = preset_graph(500);
     const sonic_model model;
     const wordlength_compatibility_graph wcg(g, model);
-    const incomplete_schedule_result fast =
-        schedule_incomplete(wcg, 1, nullptr, sched_engine::event);
+    const incomplete_schedule_result fast = schedule_incomplete(wcg, 1);
     const incomplete_schedule_result ref =
-        schedule_incomplete(wcg, 1, nullptr, sched_engine::reference_scan);
+        oracle::schedule_incomplete(wcg, 1);
     EXPECT_EQ(fast.length, ref.length);
     EXPECT_EQ(fast.start, ref.start);
     ASSERT_EQ(fast.scheduling_set.size(), ref.scheduling_set.size());
@@ -82,19 +83,15 @@ TEST(LargeGraphIdentity, EngineParity500)
 
 TEST(LargeGraphIdentity, IncrementalParity150)
 {
-    // Full allocator, incremental event pipeline vs the reference
-    // pipeline, on a preset graph small enough to run both end to end.
+    // Full allocator, incremental event pipeline vs the oracle's
+    // from-scratch loop, on a preset graph small enough to run both end to
+    // end.
     const sequencing_graph g = preset_graph(150);
     const sonic_model model;
     const int lambda = relaxed_lambda(min_latency(g, model), 0.10);
 
-    dpalloc_options incremental;
-    incremental.incremental = true;
-    dpalloc_options reference;
-    reference.incremental = false;
-
-    const dpalloc_result a = dpalloc(g, model, lambda, incremental);
-    const dpalloc_result b = dpalloc(g, model, lambda, reference);
+    const dpalloc_result a = dpalloc(g, model, lambda);
+    const dpalloc_result b = oracle::dpalloc(g, model, lambda);
     EXPECT_EQ(a.path.total_area, b.path.total_area);
     EXPECT_EQ(a.path.start, b.path.start);
     EXPECT_EQ(a.path.instance_of_op, b.path.instance_of_op);

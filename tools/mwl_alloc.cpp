@@ -145,15 +145,7 @@ int main(int argc, char** argv)
         }
 
         const sonic_model model;
-        int lambda_min = 0;
-        try {
-            lambda_min = min_latency(graph, model);
-        } catch (const precondition_error& e) {
-            // A graph the model cannot price (e.g. multiplier widths whose
-            // sum overflows) is bad input, like a bad flag: exit 2.
-            std::cerr << "mwl_alloc: " << e.what() << '\n';
-            return 2;
-        }
+        const int lambda_min = min_latency(graph, model);
 
         if (want_sweep) {
             pareto_options sweep;
@@ -248,6 +240,12 @@ int main(int argc, char** argv)
             }
         }
         return 0;
+    } catch (const precondition_error& e) {
+        // A graph outside the library's contract (multiplier widths whose
+        // sum overflows, latency sums beyond int) is bad input, like a bad
+        // flag: exit 2.
+        std::cerr << "mwl_alloc: " << e.what() << '\n';
+        return 2;
     } catch (const error& e) {
         std::cerr << "mwl_alloc: " << e.what() << '\n';
         return 1;

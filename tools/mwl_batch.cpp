@@ -32,6 +32,7 @@
 #include "model/hardware_model.hpp"
 #include "report/table.hpp"
 #include "support/interrupt.hpp"
+#include "support/json.hpp"
 #include "support/parse_num.hpp"
 #include "support/timer.hpp"
 #include "tgff/corpus.hpp"
@@ -124,19 +125,6 @@ bool take_directive(const std::string& token, directive& out)
         return true;
     }
     return false;
-}
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
 }
 
 } // namespace

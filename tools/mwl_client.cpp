@@ -27,6 +27,7 @@
 #include "io/graph_io.hpp"
 #include "report/table.hpp"
 #include "serve/client.hpp"
+#include "support/json.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
 #include "tgff/corpus.hpp"
@@ -198,19 +199,6 @@ std::vector<serve_item> parse_manifest(std::istream& in)
         }
     }
     return items;
-}
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
 }
 
 /// One connection's share of the run: non-soak partitions the items

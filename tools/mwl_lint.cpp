@@ -22,6 +22,7 @@
 #include "io/graph_io.hpp"
 #include "model/hardware_model.hpp"
 #include "scenarios/scenarios.hpp"
+#include "support/json.hpp"
 #include "support/parse_num.hpp"
 #include "support/timer.hpp"
 #include "verify/differential.hpp"
@@ -74,19 +75,6 @@ struct lint_item {
     std::optional<int> lambda; ///< fixed lambda; unset = relax lambda_min
     double slack = 0.25;
 };
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
-}
 
 } // namespace
 

@@ -38,6 +38,7 @@
 #include "report/table.hpp"
 #include "scenarios/scenarios.hpp"
 #include "support/interrupt.hpp"
+#include "support/json.hpp"
 #include "support/parse_num.hpp"
 #include "support/timer.hpp"
 #include "wordlength/optimizer.hpp"
@@ -87,19 +88,6 @@ struct tune_point {
     std::size_t reused = 0;
     bool front = false;       ///< on the noise-vs-area Pareto front
 };
-
-std::string json_escape(const std::string& text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
-        }
-        out += c;
-    }
-    return out;
-}
 
 /// Within one design, a point is on the front iff no other successful
 /// point has (noise <=, area <=) with at least one strict.
