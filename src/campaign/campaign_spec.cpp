@@ -2,10 +2,10 @@
 
 #include "scenarios/scenarios.hpp"
 #include "support/hash.hpp"
+#include "support/parse_num.hpp"
 #include "support/rng.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 #include <unordered_set>
 
@@ -19,37 +19,29 @@ namespace {
                      message);
 }
 
+/// `text` through one of support/parse_num's checked parsers; a bad
+/// number is a spec error naming the line, the key and the text.
+template <typename Parse>
+auto spec_number(Parse parse, const std::string& text, std::size_t line_no,
+                 const std::string& what)
+{
+    try {
+        return parse(text, std::string());
+    } catch (const precondition_error&) {
+        fail_line(line_no, "bad " + what + " value '" + text + "'");
+    }
+}
+
 int parse_int(const std::string& text, std::size_t line_no,
               const std::string& what)
 {
-    try {
-        std::size_t used = 0;
-        const int value = std::stoi(text, &used);
-        if (used != text.size()) {
-            throw std::invalid_argument(text);
-        }
-        return value;
-    } catch (const std::exception&) {
-        fail_line(line_no, "bad " + what + " value '" + text + "'");
-    }
+    return spec_number(parse_int_checked, text, line_no, what);
 }
 
 std::uint64_t parse_u64(const std::string& text, std::size_t line_no,
                         const std::string& what)
 {
-    try {
-        std::size_t used = 0;
-        if (!text.empty() && text[0] == '-') {
-            throw std::invalid_argument(text);
-        }
-        const std::uint64_t value = std::stoull(text, &used);
-        if (used != text.size()) {
-            throw std::invalid_argument(text);
-        }
-        return value;
-    } catch (const std::exception&) {
-        fail_line(line_no, "bad " + what + " value '" + text + "'");
-    }
+    return spec_number(parse_u64_checked, text, line_no, what);
 }
 
 /// `1,2,4` -> {1, 2, 4}; each element a positive int.
@@ -100,16 +92,8 @@ std::vector<double> parse_double_list(const std::string& text,
     while (pos <= text.size()) {
         const std::size_t comma = std::min(text.find(',', pos), text.size());
         const std::string token = text.substr(pos, comma - pos);
-        double value = 0.0;
-        try {
-            std::size_t used = 0;
-            value = std::stod(token, &used);
-            if (used != token.size() || !std::isfinite(value)) {
-                throw std::invalid_argument(token);
-            }
-        } catch (const std::exception&) {
-            fail_line(line_no, "bad " + what + " value '" + token + "'");
-        }
+        const double value =
+            spec_number(parse_double_checked, token, line_no, what);
         if (value <= 0.0) {
             fail_line(line_no, what + " values must be positive");
         }

@@ -1,10 +1,11 @@
 #include "serve/protocol.hpp"
 
+#include "support/parse_num.hpp"
+
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
-#include <limits>
 #include <vector>
 
 #include <sys/socket.h>
@@ -135,57 +136,16 @@ bool split_kv(const std::string& token, std::string& key, std::string& value)
     return true;
 }
 
-std::uint64_t parse_u64(const std::string& token, const std::string& value)
+/// `value` through one of support/parse_num's checked parsers (whole
+/// token, range-checked, finite); a bad number is a malformed frame.
+template <typename Parse>
+auto wire_number(Parse parse, const std::string& token,
+                 const std::string& value)
 {
     try {
-        if (value.empty() || value[0] == '-') {
-            throw std::invalid_argument(value);
-        }
-        return std::stoull(value);
-    } catch (const std::exception&) {
-        bad("bad numeric value in '" + token + "'");
-    }
-}
-
-long parse_long(const std::string& token, const std::string& value)
-{
-    try {
-        std::size_t used = 0;
-        const long parsed = std::stol(value, &used);
-        if (used != value.size()) {
-            throw std::invalid_argument(value);
-        }
-        return parsed;
-    } catch (const std::exception&) {
-        bad("bad numeric value in '" + token + "'");
-    }
-}
-
-/// `parse_long` + an explicit int range check: a value like
-/// retry-after-ms=99999999999 parses as a long on LP64, so an unchecked
-/// `static_cast<int>` would silently truncate it to garbage. Out-of-range
-/// is a malformed frame, same as an unparseable one.
-int parse_int(const std::string& token, const std::string& value)
-{
-    const long parsed = parse_long(token, value);
-    if (parsed < std::numeric_limits<int>::min() ||
-        parsed > std::numeric_limits<int>::max()) {
-        bad("numeric value out of range in '" + token + "'");
-    }
-    return static_cast<int>(parsed);
-}
-
-double parse_double(const std::string& token, const std::string& value)
-{
-    try {
-        std::size_t used = 0;
-        const double parsed = std::stod(value, &used);
-        if (used != value.size()) {
-            throw std::invalid_argument(value);
-        }
-        return parsed;
-    } catch (const std::exception&) {
-        bad("bad numeric value in '" + token + "'");
+        return parse(value, token);
+    } catch (const precondition_error& e) {
+        bad(e.what());
     }
 }
 
@@ -242,12 +202,13 @@ request parse_request(const std::string& payload)
             bad("unknown request token '" + tokens[i] + "'");
         }
         if (key == "id") {
-            r.id = parse_u64(tokens[i], value);
+            r.id = wire_number(parse_u64_checked, tokens[i], value);
         } else if (key == "lambda" && r.what == request::kind::alloc) {
-            r.lambda = parse_int(tokens[i], value);
+            r.lambda = wire_number(parse_int_checked, tokens[i], value);
             have_lambda = true;
         } else if (key == "slack" && r.what == request::kind::alloc) {
-            r.slack = parse_double(tokens[i], value) / 100.0;
+            r.slack =
+                wire_number(parse_double_checked, tokens[i], value) / 100.0;
             if (r.slack < 0.0) {
                 bad("slack must be non-negative");
             }
@@ -351,21 +312,24 @@ response parse_response(const std::string& payload)
             bad("unknown response token '" + tokens[i] + "'");
         }
         if (key == "id") {
-            r.id = parse_u64(tokens[i], value);
+            r.id = wire_number(parse_u64_checked, tokens[i], value);
         } else if (key == "lambda") {
-            r.lambda = parse_int(tokens[i], value);
+            r.lambda = wire_number(parse_int_checked, tokens[i], value);
         } else if (key == "latency") {
-            r.latency = parse_int(tokens[i], value);
+            r.latency = wire_number(parse_int_checked, tokens[i], value);
         } else if (key == "area") {
-            r.area = parse_double(tokens[i], value);
+            r.area = wire_number(parse_double_checked, tokens[i], value);
         } else if (key == "cached") {
-            r.cached = parse_long(tokens[i], value) != 0;
+            r.cached =
+                wire_number(parse_int_checked, tokens[i], value) != 0;
         } else if (key == "coalesced") {
-            r.coalesced = parse_long(tokens[i], value) != 0;
+            r.coalesced =
+                wire_number(parse_int_checked, tokens[i], value) != 0;
         } else if (key == "micros") {
-            r.micros = parse_double(tokens[i], value);
+            r.micros = wire_number(parse_double_checked, tokens[i], value);
         } else if (key == "retry-after-ms") {
-            r.retry_after_ms = parse_int(tokens[i], value);
+            r.retry_after_ms =
+                wire_number(parse_int_checked, tokens[i], value);
         } else if (r.what == response::status::error) {
             // A message that happens to contain '=': treat as free text.
             r.message = tokens[i];

@@ -1,5 +1,7 @@
 #include "support/json.hpp"
 
+#include <cstdio>
+
 namespace mwl {
 
 std::string json_escape(const std::string& text)
@@ -7,10 +9,21 @@ std::string json_escape(const std::string& text)
     std::string out;
     out.reserve(text.size());
     for (const char c : text) {
-        if (c == '"' || c == '\\') {
-            out += '\\';
+        switch (c) {
+        case '"': out += "\\\""; break;
+        case '\\': out += "\\\\"; break;
+        case '\n': out += "\\n"; break;
+        case '\t': out += "\\t"; break;
+        default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof buf, "\\u%04x",
+                              static_cast<unsigned>(c));
+                out += buf;
+            } else {
+                out += c;
+            }
         }
-        out += c;
     }
     return out;
 }

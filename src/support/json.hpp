@@ -1,10 +1,5 @@
-// The JSON string escaper shared by the report writers (campaign reports,
-// quality goldens) and the tools' --json outputs.
-//
-// It escapes only `"` and `\`: the escaped strings are scenario names,
-// keys, error messages and file names, and the byte-compared reports pin
-// that exact encoding. finding.cpp keeps its own, wider escaper (control
-// characters too), whose bytes mwl_lint's JSON pins separately.
+// The JSON string escaper shared by every JSON writer: campaign reports,
+// quality goldens, analyzer findings and the tools' --json outputs.
 
 #ifndef MWL_SUPPORT_JSON_HPP
 #define MWL_SUPPORT_JSON_HPP
@@ -13,7 +8,9 @@
 
 namespace mwl {
 
-/// `text` with every `"` and `\` preceded by a backslash.
+/// `text` as the contents of a JSON string literal (no surrounding
+/// quotes): `"` and `\` are backslash-escaped, newline and tab become
+/// `\n` and `\t`, and every other control character `\u00XX`.
 [[nodiscard]] std::string json_escape(const std::string& text);
 
 } // namespace mwl

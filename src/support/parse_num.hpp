@@ -6,10 +6,11 @@
 // process, std::out_of_range likewise, and a partial parse ("4x" -> 4,
 // "3e" -> 3) is silently *accepted*. These helpers give one contract for
 // all call sites: the whole token must parse, out-of-range is rejected,
-// and failures throw `precondition_error` (an `mwl::error`, so the tools'
-// existing catch blocks turn it into a diagnostic + exit 2, never an
-// abort). The unsigned variants also reject a leading '-', which stoul
-// would silently wrap ("-1" -> 1.8e19).
+// and failures throw `precondition_error`, which the flag reader and the
+// manifest parser (src/cli/) turn into a diagnostic + exit 2 and the
+// serve protocol into a malformed-frame error -- never an abort. The
+// unsigned variants also reject a leading '-', which stoul would
+// silently wrap ("-1" -> 1.8e19).
 //
 // `context`, when non-empty, names the offending flag or token in the
 // message ("bad numeric value in 'lambda=4x'"); when empty the raw text

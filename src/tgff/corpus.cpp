@@ -4,7 +4,9 @@
 #include "support/error.hpp"
 #include "support/parse_num.hpp"
 
+#include <climits>
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
 
 namespace mwl {
@@ -33,8 +35,17 @@ std::vector<corpus_entry> make_corpus(std::size_t n_ops, std::size_t count,
 int relaxed_lambda(int lambda_min, double slack)
 {
     require(slack >= 0.0, "slack must be non-negative");
-    return static_cast<int>(
-        std::ceil(static_cast<double>(lambda_min) * (1.0 + slack)));
+    const double lambda =
+        std::ceil(static_cast<double>(lambda_min) * (1.0 + slack));
+    // A double beyond int has no defined conversion; the negated test
+    // also rejects the NaN of 0 * inf.
+    if (!(lambda <= static_cast<double>(INT_MAX))) {
+        std::ostringstream message;
+        message << "slack " << slack * 100.0 << "% relaxes lambda_min "
+                << lambda_min << " beyond the latency limit " << INT_MAX;
+        throw precondition_error(message.str());
+    }
+    return static_cast<int>(lambda);
 }
 
 corpus_spec corpus_spec::parse(const std::vector<std::string>& tokens)

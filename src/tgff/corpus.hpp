@@ -31,7 +31,8 @@ struct corpus_entry {
     std::uint64_t base_seed, const tgff_options& prototype = {});
 
 /// Latency constraint for a given relaxation: ceil(lambda_min*(1+slack)).
-/// slack = 0.0 reproduces the paper's lambda = lambda_min point.
+/// slack = 0.0 reproduces the paper's lambda = lambda_min point. Throws
+/// `precondition_error` for a negative slack or a result beyond INT_MAX.
 [[nodiscard]] int relaxed_lambda(int lambda_min, double slack);
 
 /// A `make_corpus` call as data, so tools can name a corpus in text form

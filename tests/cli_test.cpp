@@ -133,7 +133,12 @@ TEST(CliBatch, NegativeJobsIsDiagnosedNotWrapped)
 {
     // stoul would silently wrap "-2" to ~1.8e19 threads.
     expect_fails_with(tool("mwl_batch") + " --jobs -2 -", 2,
-                      "bad numeric value '-2' for --jobs");
+                      "bad value for --jobs: bad numeric value '-2'");
+    // Thread counts are capped while argv is parsed, before any thread
+    // starts (--help after it is never reached).
+    expect_fails_with(tool("mwl_batch") + " --jobs 100000 --help", 2,
+                      "bad value for --jobs: thread count 100000 exceeds "
+                      "the limit of 1024");
 }
 
 TEST(CliBatch, SigintDrainsAndEmitsPartialResultsWithExitThree)
@@ -252,6 +257,11 @@ TEST(CliScenarios, OutOfRangeNumericValueIsDiagnosedNotAborted)
                       "bad value for --slack");
     expect_fails_with(tool("mwl_scenarios") + " --check x --tol 1e999", 2,
                       "bad value for --tol");
+    // Partial parses used to be accepted ("4x" -> 4, "5x" -> 5).
+    expect_fails_with(tool("mwl_scenarios") + " --list --inputs 4x", 2,
+                      "bad value for --inputs: bad numeric value '4x'");
+    expect_fails_with(tool("mwl_scenarios") + " --list --slack 5x", 2,
+                      "bad value for --slack: bad numeric value '5x'");
 }
 
 TEST(CliScenarios, CorruptedGoldenIsMalformedInputNotDrift)
@@ -423,9 +433,16 @@ TEST(CliServe, AnEndpointIsRequired)
 TEST(CliServe, BadNumericValuesExitTwo)
 {
     expect_fails_with(tool("mwl_serve") + " --tcp nope", 2,
-                      "bad numeric value 'nope' for --tcp");
+                      "bad value for --tcp: bad numeric value 'nope'");
     expect_fails_with(tool("mwl_serve") + " --unix s.sock --jobs -1", 2,
-                      "bad numeric value '-1' for --jobs");
+                      "bad value for --jobs: bad numeric value '-1'");
+    // Diagnosed before --help is reached: no silent 4x -> 4, no port
+    // wrapped into int range, and no server started.
+    expect_fails_with(tool("mwl_serve") + " --jobs 4x --help", 2,
+                      "bad value for --jobs: bad numeric value '4x'");
+    expect_fails_with(tool("mwl_serve") + " --tcp 4294967297 --help", 2,
+                      "bad value for --tcp: numeric value out of range "
+                      "'4294967297'");
     expect_fails_with(tool("mwl_serve") + " --unix s.sock --cache", 2,
                       "missing value for --cache");
 }
@@ -474,6 +491,13 @@ TEST(CliClient, BatchOnlyManifestDirectivesAreRejected)
     expect_fails_with(tool("mwl_client") +
                           " unix:/tmp/x.sock --manifest " + verify,
                       2, "verify= is not supported over serve");
+    // Checked like every manifest number, before any connection is made.
+    const std::string bad_lambda =
+        write_manifest("cli_test_serve_bad_lambda.manifest",
+                       "corpus ops=4 count=1 lambda=4x\n");
+    expect_fails_with(tool("mwl_client") +
+                          " unix:/tmp/x.sock --manifest " + bad_lambda,
+                      2, "manifest line 1: bad numeric value in 'lambda=4x'");
 }
 
 TEST(CliClient, BadCountsExitTwo)
@@ -483,7 +507,15 @@ TEST(CliClient, BadCountsExitTwo)
                       2, "--conns and --window must be >= 1");
     expect_fails_with(tool("mwl_client") + " unix:/tmp/x.sock --soak x " +
                           "--manifest -",
-                      2, "bad numeric value 'x' for --soak");
+                      2, "bad value for --soak: bad numeric value 'x'");
+    expect_fails_with(tool("mwl_client") + " unix:/tmp/x.sock --conns 4x " +
+                          "--manifest -",
+                      2, "bad value for --conns: bad numeric value '4x'");
+    // One thread per connection: capped before any is started.
+    expect_fails_with(tool("mwl_client") +
+                          " unix:/tmp/x.sock --conns 100000 --help",
+                      2, "bad value for --conns: thread count 100000 "
+                         "exceeds the limit of 1024");
 }
 
 // ------------------------------------------------------------- mwl_lint --
@@ -573,6 +605,26 @@ TEST(CliLint, ManifestErrorsReportTheirLineNumber)
         "cli_test_lint_missing.manifest", "graph cli_no_such.mwl\n");
     expect_fails_with(tool("mwl_lint") + " --manifest " + missing, 2,
                       "manifest line 1: cannot open graph file");
+    const std::string negative = write_manifest(
+        "cli_test_lint_negative.manifest", "corpus ops=4 count=1 slack=-60\n");
+    expect_fails_with(tool("mwl_lint") + " --manifest " + negative, 2,
+                      "manifest line 1: slack must be non-negative");
+}
+
+TEST(CliLint, ManifestCorpusEntriesAreNumberedAcrossTheManifest)
+{
+    // Two identical corpus lines are two distinct entries, #0 and #1, as
+    // in mwl_batch -- not two entries both named #0.
+    const std::string manifest = write_manifest(
+        "cli_test_lint_two_corpora.manifest",
+        "corpus ops=4 count=1 seed=3\ncorpus ops=4 count=1 seed=3\n");
+    const run_result r = run(tool("mwl_lint") + " --manifest " + manifest +
+                             " --mutate capture-zext");
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find("tgff(ops=4,seed=3)#0/"), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("tgff(ops=4,seed=3)#1/"), std::string::npos)
+        << r.output;
 }
 
 TEST(CliLint, BadNumericFlagValuesExitTwoNotAbort)
@@ -625,6 +677,17 @@ TEST(CliAlloc, BadNumericFlagValuesExitTwoNotAbort)
         "bad value for --jobs: numeric value out of range");
     expect_fails_with(tool("mwl_alloc") + " - --lambda 12x", 2,
                       "bad value for --lambda: bad numeric value '12x'");
+}
+
+TEST(CliAlloc, SlackBeyondTheLatencyLimitExitsTwo)
+{
+    // Regression: ceil(lambda_min * (1 + slack)) beyond int was cast
+    // anyway (undefined) and printed "lambda -2147483648".
+    expect_fails_with("echo 'op a add 8' | " + tool("mwl_alloc") +
+                          " - --slack 1e300",
+                      2,
+                      "mwl_alloc: slack 1e+300% relaxes lambda_min 2 beyond "
+                      "the latency limit 2147483647");
 }
 
 TEST(CliAlloc, OverflowingMultiplierWidthsExitTwo)
@@ -700,7 +763,7 @@ TEST(CliTune, UnknownOptionAndBadValuesExitTwo)
     expect_fails_with(tool("mwl_tune") + " --frobnicate", 2,
                       "unknown option --frobnicate");
     expect_fails_with(tool("mwl_tune") + " spec --jobs junk", 2,
-                      "bad numeric value 'junk' for --jobs");
+                      "bad value for --jobs: bad numeric value 'junk'");
 }
 
 TEST(CliTune, SpecErrorsReportTheirLineNumber)

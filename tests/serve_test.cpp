@@ -261,6 +261,14 @@ TEST(ServeGrammar, RequestErrorsAreProtocolErrors)
     EXPECT_THROW(
         static_cast<void>(serve::parse_request("alloc id=1 slack=-3\ng")),
         serve::protocol_error);
+    // Whole-token, finite numbers only: "12x" is not id 12, and an
+    // infinite slack never reaches relaxed_lambda.
+    EXPECT_THROW(
+        static_cast<void>(serve::parse_request("alloc id=12x\ng")),
+        serve::protocol_error);
+    EXPECT_THROW(
+        static_cast<void>(serve::parse_request("alloc id=1 slack=inf\ng")),
+        serve::protocol_error);
 }
 
 TEST(ServeGrammar, ResponseRoundTripsBitExactDoubles)

@@ -1,9 +1,11 @@
 // Unit tests for src/support: strong ids, error primitives, the
 // deterministic RNG, the statistics helpers (including the serve
-// daemon's latency window), and the lock-striped LRU cache.
+// daemon's latency window), the lock-striped LRU cache and the JSON
+// string escaper.
 
 #include "support/error.hpp"
 #include "support/ids.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/sharded_lru.hpp"
 #include "support/stats.hpp"
@@ -432,6 +434,15 @@ TEST(Timer, ResetRestartsTheClock)
     }
     w.reset();
     EXPECT_LT(w.seconds(), 1.0);
+}
+
+// --------------------------------------------------------------- json --
+
+TEST(Json, EscapeCoversQuotesBackslashesAndControlCharacters)
+{
+    EXPECT_EQ(json_escape("plain fir8#0/r3"), "plain fir8#0/r3");
+    EXPECT_EQ(json_escape("a\"b\\c\nd\te\x01" "f"),
+              "a\\\"b\\\\c\\nd\\te\\u0001f");
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 namespace mwl {
 namespace {
 
@@ -323,6 +325,16 @@ TEST(Corpus, NegativeSlackThrows)
 {
     EXPECT_THROW(static_cast<void>(relaxed_lambda(10, -0.1)),
                  precondition_error);
+}
+
+TEST(Corpus, SlackBeyondTheLatencyLimitThrows)
+{
+    // ceil(2 * (1 + 1e300)) has no int value; the cast was undefined.
+    EXPECT_THROW(static_cast<void>(relaxed_lambda(2, 1e300)),
+                 precondition_error);
+    EXPECT_THROW(static_cast<void>(relaxed_lambda(0, INFINITY)),
+                 precondition_error);
+    EXPECT_EQ(relaxed_lambda(1, 2147483646.0), 2147483647);
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 
 #include "baseline/descending.hpp"
 #include "baseline/two_stage.hpp"
+#include "cli/args.hpp"
 #include "core/dpalloc.hpp"
 #include "core/validate.hpp"
 #include "dfg/analysis.hpp"
@@ -31,7 +32,6 @@
 #include "report/table.hpp"
 #include "rtl/netlist.hpp"
 #include "rtl/verilog.hpp"
-#include "support/parse_num.hpp"
 #include "tgff/corpus.hpp"
 
 #include <fstream>
@@ -52,7 +52,8 @@ namespace {
         "[dpalloc]\n"
         "  --sweep             print the Pareto frontier up to --slack "
         "[default 100]\n"
-        "  --jobs N            worker threads for --sweep [1]\n"
+        "  --jobs N            worker threads for --sweep, at most "
+        << mwl::cli::max_threads << " [1]\n"
         "  --verilog FILE      write structural Verilog\n"
         "  --dot               print the graph in DOT form\n"
         "  --rtl               report registers/muxes and extended area\n"
@@ -76,47 +77,29 @@ int main(int argc, char** argv)
     bool want_sweep = false;
     std::size_t sweep_jobs = 1;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_alloc: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        // parse_*_checked throws on malformed or out-of-range numbers
-        // (including trailing junk like "4x"), so a typo is a diagnostic
-        // and exit 2 -- never an uncaught stoi abort.
-        try {
+    cli::args args("mwl_alloc", argc, argv, usage);
+    while (args.next()) {
+        const std::string& arg = args.flag();
         if (arg == "--lambda") {
-            lambda_arg = parse_int_checked(value());
+            lambda_arg = args.integer();
         } else if (arg == "--slack") {
-            slack_arg = parse_double_checked(value()) / 100.0;
+            slack_arg = args.real() / 100.0;
         } else if (arg == "--sweep") {
             want_sweep = true;
         } else if (arg == "--jobs") {
-            sweep_jobs = parse_size_checked(value());
+            sweep_jobs = args.threads();
         } else if (arg == "--algorithm") {
-            algorithm = value();
+            algorithm = args.value();
         } else if (arg == "--verilog") {
-            verilog_file = value();
+            verilog_file = args.value();
         } else if (arg == "--dot") {
             want_dot = true;
         } else if (arg == "--rtl") {
             want_rtl = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            std::cerr << "mwl_alloc: unknown option " << arg << '\n';
-            usage(2);
+        } else if (args.option()) {
+            args.unknown();
         } else {
             graph_file = arg;
-        }
-        } catch (const error& e) {
-            std::cerr << "mwl_alloc: bad value for " << arg << ": "
-                      << e.what() << '\n';
-            usage(2);
         }
     }
     if (graph_file.empty()) {
@@ -125,24 +108,18 @@ int main(int argc, char** argv)
     if (want_sweep &&
         (lambda_arg || algorithm != "dpalloc" || !verilog_file.empty() ||
          want_rtl)) {
-        std::cerr << "mwl_alloc: --sweep explores dpalloc over a lambda"
-                     " range; it cannot be combined with --lambda,"
-                     " --algorithm, --verilog or --rtl\n";
-        usage(2);
+        args.fail("--sweep explores dpalloc over a lambda range; it cannot"
+                  " be combined with --lambda, --algorithm, --verilog or"
+                  " --rtl");
     }
 
     try {
-        sequencing_graph graph;
-        if (graph_file == "-") {
-            graph = parse_graph(std::cin);
-        } else {
-            std::ifstream in(graph_file);
-            if (!in) {
-                std::cerr << "mwl_alloc: cannot open " << graph_file << '\n';
-                return 1;
-            }
-            graph = parse_graph(in);
+        std::ifstream file;
+        std::istream* in = cli::open_input("mwl_alloc", graph_file, file);
+        if (in == nullptr) {
+            return 1;
         }
+        const sequencing_graph graph = parse_graph(*in);
 
         const sonic_model model;
         const int lambda_min = min_latency(graph, model);

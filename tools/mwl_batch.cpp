@@ -6,44 +6,35 @@
 // (src/engine/) on a work-stealing pool. Emits per-job results as an
 // aligned table, JSON, or CSV, plus cache-hit and throughput statistics.
 //
-// Manifest format (one entry per line; '#' starts a comment):
-//
-//   graph FILE [lambda=N | slack=PCT | sweep=PCT] [verify=N]
-//   corpus ops=N count=N [seed=S] [mul-fraction=F] [min-width=W]
-//          [max-width=W] [lambda=N | slack=PCT | sweep=PCT] [verify=N]
-//
-// `slack=PCT` allocates at ceil(lambda_min*(1+PCT/100)) (default slack=0);
-// `sweep=PCT` runs a Pareto sweep over [lambda_min, that bound] instead of
-// a single allocation. `verify=N` differentially verifies the entry
-// instead of allocating it: every allocator's datapath is checked against
-// the bit-true reference and the RTL interpreter (src/verify/) on N random
-// signed input vectors; a counterexample fails the run. Corpus entries
-// expand to `count` jobs sharing one spec.
+// The manifest grammar -- `graph` and `corpus` lines with `lambda=`,
+// `slack=`, `sweep=` and `verify=` directives -- is documented in
+// src/cli/manifest.hpp; mwl_batch honours every directive. `slack=PCT`
+// defaults to 0; `sweep=PCT` runs a Pareto sweep instead of a single
+// allocation; `verify=N` checks every allocator's datapath against the
+// bit-true reference and the RTL interpreter (src/verify/) on N random
+// signed input vectors, and a counterexample fails the run.
 //
 // Usage:
 //   mwl_batch MANIFEST [--jobs N] [--json FILE] [--csv] [--cache N]
 //   echo 'corpus ops=8 count=4 sweep=30' | mwl_batch -
 //   echo 'corpus ops=8 count=4 verify=16' | mwl_batch -
 
+#include "cli/args.hpp"
+#include "cli/manifest.hpp"
 #include "dfg/analysis.hpp"
 #include "engine/batch_engine.hpp"
 #include "engine/parallel_pareto.hpp"
-#include "io/graph_io.hpp"
 #include "model/hardware_model.hpp"
 #include "report/table.hpp"
 #include "support/interrupt.hpp"
 #include "support/json.hpp"
-#include "support/parse_num.hpp"
 #include "support/timer.hpp"
 #include "tgff/corpus.hpp"
 #include "verify/differential.hpp"
 
-#include <deque>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -55,7 +46,8 @@ using namespace mwl;
 {
     std::cout <<
         "usage: mwl_batch MANIFEST [options]\n"
-        "  --jobs N     worker threads [hardware concurrency]\n"
+        "  --jobs N     worker threads, at most " << cli::max_threads
+        << " [hardware concurrency]\n"
         "  --json FILE  write results + stats as JSON\n"
         "  --csv        CSV on stdout instead of the aligned table\n"
         "  --cache N    result cache capacity [1024]\n"
@@ -72,61 +64,6 @@ using namespace mwl;
     std::exit(code);
 }
 
-/// What to do with one graph: allocate at a fixed lambda / relaxed slack,
-/// sweep the frontier up to a slack bound, or differentially verify the
-/// allocators' RTL on random signed inputs.
-struct directive {
-    std::optional<int> lambda;
-    double slack = 0.0;
-    std::optional<double> sweep_slack; ///< set = Pareto sweep entry
-    std::optional<std::size_t> verify_inputs; ///< set = verification entry
-    /// Input-vector seed for verification entries; derived per entry from
-    /// the corpus seed (mirroring verify_corpus) so `seed=` in the
-    /// manifest changes the inputs too, not just the graphs.
-    std::uint64_t verify_seed = 2001;
-};
-
-/// One expanded unit of work. Graphs live in the owning deque below;
-/// the engine borrows them until drain.
-struct work_item {
-    std::string name;
-    const sequencing_graph* graph = nullptr;
-    directive what;
-};
-
-/// Throws `precondition_error` on an unparseable number, so manifest
-/// errors surface as diagnostics + exit 2, never an uncaught stoi abort.
-bool take_directive(const std::string& token, directive& out)
-{
-    const auto value_of = [&](const char* prefix) -> std::optional<std::string> {
-        const std::size_t n = std::string(prefix).size();
-        if (token.rfind(prefix, 0) == 0) {
-            return token.substr(n);
-        }
-        return std::nullopt;
-    };
-    if (const auto v = value_of("lambda=")) {
-        out.lambda = parse_int_checked(*v, token);
-        return true;
-    }
-    if (const auto v = value_of("slack=")) {
-        out.slack = parse_double_checked(*v, token) / 100.0;
-        require(out.slack >= 0.0, "slack must be non-negative");
-        return true;
-    }
-    if (const auto v = value_of("sweep=")) {
-        out.sweep_slack = parse_double_checked(*v, token) / 100.0;
-        require(*out.sweep_slack >= 0.0, "sweep must be non-negative");
-        return true;
-    }
-    if (const auto v = value_of("verify=")) {
-        out.verify_inputs = parse_size_checked(*v, token);
-        require(*out.verify_inputs >= 1, "verify needs >= 1 input");
-        return true;
-    }
-    return false;
-}
-
 } // namespace
 
 int main(int argc, char** argv)
@@ -141,38 +78,19 @@ int main(int argc, char** argv)
     bool csv = false;
     std::size_t cache_capacity = 1024;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_batch: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                return parse_size_checked(text);
-            } catch (const error&) {
-                std::cerr << "mwl_batch: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
+    cli::args args("mwl_batch", argc, argv, usage);
+    while (args.next()) {
+        const std::string& arg = args.flag();
         if (arg == "--jobs") {
-            jobs = count_value();
+            jobs = args.threads();
         } else if (arg == "--json") {
-            json_file = value();
+            json_file = args.value();
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--cache") {
-            cache_capacity = count_value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            std::cerr << "mwl_batch: unknown option " << arg << '\n';
-            usage(2);
+            cache_capacity = args.count();
+        } else if (args.option()) {
+            args.unknown();
         } else {
             manifest_file = arg;
         }
@@ -181,95 +99,26 @@ int main(int argc, char** argv)
         usage(2);
     }
 
-    try {
-        // ---- parse the manifest into owned graphs + work items ----------
-        std::ifstream file_in;
-        std::istream* in = &std::cin;
-        if (manifest_file != "-") {
-            file_in.open(manifest_file);
-            if (!file_in) {
-                std::cerr << "mwl_batch: cannot open " << manifest_file
-                          << '\n';
-                return 1;
-            }
-            in = &file_in;
+    std::vector<cli::manifest_entry> items;
+    {
+        std::ifstream file;
+        std::istream* in = cli::open_input("mwl_batch", manifest_file, file);
+        if (in == nullptr) {
+            return 1;
         }
-
-        std::deque<sequencing_graph> graphs; // stable addresses
-        std::vector<work_item> items;
-        std::string raw;
-        std::size_t line_no = 0;
-        while (std::getline(*in, raw)) {
-            ++line_no;
-            std::istringstream line(raw);
-            std::string keyword;
-            if (!(line >> keyword) || keyword.front() == '#') {
-                continue;
-            }
-            const auto fail = [&](const std::string& message) {
-                std::cerr << "mwl_batch: manifest line " << line_no << ": "
-                          << message << '\n';
-                std::exit(2);
-            };
-            try {
-            if (keyword == "graph") {
-                std::string path;
-                if (!(line >> path)) {
-                    fail("expected 'graph FILE ...'");
-                }
-                directive what;
-                std::string token;
-                while (line >> token) {
-                    if (!take_directive(token, what)) {
-                        fail("unknown graph token '" + token + "'");
-                    }
-                }
-                require(!(what.sweep_slack && what.verify_inputs),
-                        "sweep= and verify= are mutually exclusive");
-                std::ifstream gf(path);
-                if (!gf) {
-                    fail("cannot open graph file " + path);
-                }
-                graphs.push_back(parse_graph(gf));
-                what.verify_seed = verify_input_seed(2001, items.size());
-                items.push_back({path, &graphs.back(), what});
-            } else if (keyword == "corpus") {
-                directive what;
-                std::vector<std::string> spec_tokens;
-                std::string token;
-                while (line >> token) {
-                    if (!take_directive(token, what)) {
-                        spec_tokens.push_back(token);
-                    }
-                }
-                require(!(what.sweep_slack && what.verify_inputs),
-                        "sweep= and verify= are mutually exclusive");
-                const corpus_spec spec = corpus_spec::parse(spec_tokens);
-                const sonic_model probe; // lambda_min recomputed per job
-                std::size_t entry = 0;
-                for (corpus_entry& e : make_corpus(spec, probe)) {
-                    graphs.push_back(std::move(e.graph));
-                    const std::string name =
-                        "tgff(ops=" + std::to_string(spec.n_ops) +
-                        ",seed=" + std::to_string(spec.seed) + ")#" +
-                        std::to_string(items.size());
-                    what.verify_seed = verify_input_seed(spec.seed, entry++);
-                    items.push_back({name, &graphs.back(), what});
-                }
-            } else {
-                fail("unknown keyword '" + keyword + "'");
-            }
-            } catch (const error& e) {
-                // Directive / corpus-spec / graph-parse problems all carry
-                // the manifest line number out through the same exit.
-                fail(e.what());
-            }
-        }
-        if (items.empty()) {
-            std::cerr << "mwl_batch: manifest has no entries\n";
+        try {
+            items = cli::parse_manifest(*in);
+        } catch (const cli::manifest_error& e) {
+            std::cerr << "mwl_batch: " << e.what() << '\n';
             return 2;
         }
+    }
+    if (items.empty()) {
+        std::cerr << "mwl_batch: manifest has no entries\n";
+        return 2;
+    }
 
+    try {
         // ---- run ---------------------------------------------------------
         const sonic_model model;
         thread_pool pool(jobs);
@@ -300,23 +149,23 @@ int main(int argc, char** argv)
             std::size_t submitted = 0;
             for (; reached < items.size() && submitted < chunk_size;
                  ++reached) {
-                const work_item& item = items[reached];
-                if (item.what.sweep_slack) {
+                const cli::manifest_entry& item = items[reached];
+                if (item.sweep) {
                     continue;
                 }
                 const int lambda =
-                    item.what.lambda
-                        ? *item.what.lambda
-                        : item.graph->empty()
+                    item.lambda
+                        ? *item.lambda
+                        : item.graph.empty()
                             ? 0
-                            : relaxed_lambda(min_latency(*item.graph, model),
-                                             item.what.slack);
+                            : relaxed_lambda(min_latency(item.graph, model),
+                                             item.slack.value_or(0.0));
                 lambda_of_item[reached] = lambda;
-                if (item.what.verify_inputs) {
+                if (item.verify) {
                     continue; // verified on the pool below, at this lambda
                 }
                 job_of_item[reached] =
-                    base + engine.submit(*item.graph, model, lambda);
+                    base + engine.submit(item.graph, model, lambda);
                 ++submitted;
             }
             auto drained = engine.drain();
@@ -335,8 +184,8 @@ int main(int argc, char** argv)
         {
             task_group tasks(pool);
             for (std::size_t i = 0; i < reached; ++i) {
-                const work_item& item = items[i];
-                if (!item.what.sweep_slack && !item.what.verify_inputs) {
+                const cli::manifest_entry& item = items[i];
+                if (!item.sweep && !item.verify) {
                     continue;
                 }
                 if (interrupt_requested()) {
@@ -344,30 +193,30 @@ int main(int argc, char** argv)
                     break;
                 }
                 launched[i] = true;
-                if (item.what.sweep_slack) {
+                if (item.sweep) {
                     pareto_options sweep;
-                    sweep.max_slack = *item.what.sweep_slack;
-                    const sequencing_graph* graph = item.graph;
+                    sweep.max_slack = *item.sweep;
+                    const sequencing_graph* graph = &item.graph;
                     std::vector<pareto_point>* slot = &fronts[i];
                     tasks.run([&pool, &model, sweep, graph, slot] {
                         *slot =
                             parallel_pareto_sweep(*graph, model, sweep, pool);
                     });
-                } else if (item.what.verify_inputs) {
+                } else if (item.verify) {
                     verify_options options;
-                    options.inputs_per_graph = *item.what.verify_inputs;
-                    options.slack = item.what.slack;
+                    options.inputs_per_graph = *item.verify;
+                    options.slack = item.slack.value_or(0.0);
                     const int lambda = lambda_of_item[i];
-                    const work_item* work = &item;
+                    const cli::manifest_entry* work = &item;
                     verify_report* slot = &verifications[i];
                     tasks.run([&model, options, lambda, work, slot] {
-                        if (work->graph->empty()) {
+                        if (work->graph.empty()) {
                             return; // nothing to verify; report stays ok
                         }
                         try {
-                            *slot = verify_graph(*work->graph, work->name,
+                            *slot = verify_graph(work->graph, work->name,
                                                  model, lambda, options,
-                                                 work->what.verify_seed);
+                                                 work->verify_seed);
                         } catch (const error& e) {
                             // A broken entry (e.g. a graph too wide to
                             // simulate) fails its own row, not the batch.
@@ -406,10 +255,10 @@ int main(int argc, char** argv)
         int failures = 0;
         std::size_t completed_items = 0;
         for (std::size_t i = 0; i < items.size(); ++i) {
-            const work_item& item = items[i];
+            const cli::manifest_entry& item = items[i];
             // On interrupt, entries that never ran get no row: a partial
             // report only contains results that actually exist.
-            if (item.what.sweep_slack || item.what.verify_inputs) {
+            if (item.sweep || item.verify) {
                 if (!launched[i]) {
                     continue;
                 }
@@ -417,7 +266,7 @@ int main(int argc, char** argv)
                 continue;
             }
             ++completed_items;
-            if (item.what.sweep_slack) {
+            if (item.sweep) {
                 if (fronts[i].empty()) {
                     // An empty graph sweeps to an empty frontier; still
                     // give the entry a row so no job vanishes from the
@@ -431,7 +280,7 @@ int main(int argc, char** argv)
                 }
                 continue;
             }
-            if (item.what.verify_inputs) {
+            if (item.verify) {
                 const verify_report& vr = verifications[i];
                 const int lambda = lambda_of_item[i];
                 if (vr.ok()) {

@@ -23,6 +23,7 @@
 
 #include "campaign/campaign_runner.hpp"
 #include "campaign/report.hpp"
+#include "cli/args.hpp"
 #include "support/interrupt.hpp"
 #include "support/timer.hpp"
 
@@ -46,7 +47,8 @@ using namespace mwl;
         "  --status DIR           print completion counters\n"
         "  --report DIR           print merged per-scenario Pareto fronts\n"
         "options:\n"
-        "  --jobs N               worker threads [hardware concurrency]\n"
+        "  --jobs N               worker threads, at most "
+        << cli::max_threads << " [hardware concurrency]\n"
         "  --checkpoint-every N   journal records between snapshots [64]\n"
         "  --json FILE            write the canonical report JSON\n"
         "  --csv                  CSV tables on stdout\n"
@@ -57,7 +59,7 @@ using namespace mwl;
     std::exit(code);
 }
 
-struct cli {
+struct command_line {
     std::string mode;      ///< run | resume | status | report
     std::string dir;
     std::string spec_file;
@@ -67,91 +69,56 @@ struct cli {
     bool csv = false;
 };
 
-cli parse_cli(int argc, char** argv)
+command_line parse_cli(int argc, char** argv)
 {
-    cli c;
+    command_line c;
+    cli::args args("mwl_campaign", argc, argv, usage);
     const auto set_mode = [&](const char* mode) {
         if (!c.mode.empty()) {
-            std::cerr << "mwl_campaign: modes --" << c.mode << " and --"
-                      << mode << " are mutually exclusive\n";
-            usage(2);
+            args.fail("modes --" + c.mode + " and --" + mode +
+                      " are mutually exclusive");
         }
         c.mode = mode;
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_campaign: missing value for " << arg
-                          << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                if (!text.empty() && text[0] == '-') {
-                    throw std::invalid_argument(text);
-                }
-                std::size_t used = 0;
-                const std::size_t parsed = std::stoul(text, &used);
-                if (used != text.size()) {
-                    throw std::invalid_argument(text);
-                }
-                return parsed;
-            } catch (const std::exception&) {
-                std::cerr << "mwl_campaign: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
+    while (args.next()) {
+        const std::string& arg = args.flag();
         if (arg == "--run") {
             set_mode("run");
-            c.dir = value();
+            c.dir = args.value();
         } else if (arg == "--resume") {
             set_mode("resume");
-            c.dir = value();
+            c.dir = args.value();
         } else if (arg == "--status") {
             set_mode("status");
-            c.dir = value();
+            c.dir = args.value();
         } else if (arg == "--report") {
             set_mode("report");
-            c.dir = value();
+            c.dir = args.value();
         } else if (arg == "--spec") {
-            c.spec_file = value();
+            c.spec_file = args.value();
         } else if (arg == "--jobs") {
-            c.jobs = count_value();
+            c.jobs = args.threads();
         } else if (arg == "--checkpoint-every") {
-            c.checkpoint_every = count_value();
+            c.checkpoint_every = args.count();
             if (c.checkpoint_every == 0) {
-                std::cerr << "mwl_campaign: --checkpoint-every must be"
-                             " >= 1\n";
-                usage(2);
+                args.fail("--checkpoint-every must be >= 1");
             }
         } else if (arg == "--json") {
-            c.json_file = value();
+            c.json_file = args.value();
         } else if (arg == "--csv") {
             c.csv = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
         } else {
-            std::cerr << "mwl_campaign: unknown option " << arg << '\n';
-            usage(2);
+            args.unknown();
         }
     }
     if (c.mode.empty()) {
-        std::cerr << "mwl_campaign: pick a mode: --run, --resume,"
-                     " --status or --report\n";
-        usage(2);
+        args.fail("pick a mode: --run, --resume, --status or --report");
     }
     if (c.mode == "run" && c.spec_file.empty()) {
-        std::cerr << "mwl_campaign: --run needs --spec FILE\n";
-        usage(2);
+        args.fail("--run needs --spec FILE");
     }
     if (c.mode != "run" && !c.spec_file.empty()) {
-        std::cerr << "mwl_campaign: --spec only applies to --run\n";
-        usage(2);
+        args.fail("--spec only applies to --run");
     }
     return c;
 }
@@ -193,7 +160,7 @@ int failed_points(const result_store& store)
 /// Shared by --run and --resume once the store and point list exist.
 int execute(const campaign_spec& spec,
             const std::vector<campaign_point>& points, result_store& store,
-            const cli& c)
+            const command_line& c)
 {
     stopwatch clock;
     campaign_run_options options;
@@ -235,7 +202,7 @@ int execute(const campaign_spec& spec,
 int main(int argc, char** argv)
 {
     install_interrupt_handler();
-    const cli c = parse_cli(argc, argv);
+    const command_line c = parse_cli(argc, argv);
     try {
         if (c.mode == "run") {
             std::ifstream in(c.spec_file);

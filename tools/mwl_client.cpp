@@ -7,10 +7,11 @@
 //      mwl_client unix:/tmp/mwl.sock stats            # stats JSON
 //      mwl_client unix:/tmp/mwl.sock alloc fir.mwl lambda=12
 //
-//  * Manifest mode -- the mwl_batch manifest grammar (graph/corpus lines
-//    with lambda=/slack=; sweep=/verify= are batch-only) pushed through
-//    the daemon from C concurrent connections, results reported in
-//    manifest order in the same table/JSON shape as mwl_batch:
+//  * Manifest mode -- a manifest (grammar in src/cli/manifest.hpp;
+//    lambda=/slack= honoured, sweep=/verify= rejected as batch-only)
+//    pushed through the daemon from C concurrent connections, results
+//    reported in manifest order in the same table/JSON shape as
+//    mwl_batch:
 //      mwl_client unix:/tmp/mwl.sock --manifest jobs.txt --conns 8
 //
 //  * Soak mode -- each connection sends N requests cycling through the
@@ -24,13 +25,14 @@
 // --tolerate-disconnect, for soaks that outlive a draining server);
 // 2 usage or manifest errors.
 
+#include "cli/args.hpp"
+#include "cli/manifest.hpp"
 #include "io/graph_io.hpp"
 #include "report/table.hpp"
 #include "serve/client.hpp"
 #include "support/json.hpp"
 #include "support/stats.hpp"
 #include "support/timer.hpp"
-#include "tgff/corpus.hpp"
 
 #include <atomic>
 #include <csignal>
@@ -60,7 +62,8 @@ using namespace mwl;
         "manifest mode:\n"
         "  --manifest FILE      mwl_batch manifest ('-' = stdin);\n"
         "                       graph/corpus lines with lambda=/slack=\n"
-        "  --conns C            concurrent connections [1]\n"
+        "  --conns C            concurrent connections, at most "
+        << cli::max_threads << " [1]\n"
         "  --soak N             N requests per connection, cycling the\n"
         "                       manifest items; reports requests/s\n"
         "  --window W           pipelined requests per connection [16]\n"
@@ -102,101 +105,23 @@ struct soak_totals {
     std::vector<double> latencies_ms; ///< client-observed round trips
 };
 
-/// lambda=/slack= on a manifest line; rejects the batch-only directives.
-bool take_directive(const std::string& token, serve_item& out)
-{
-    const auto value_of =
-        [&](const char* prefix) -> std::optional<std::string> {
-        const std::size_t n = std::string(prefix).size();
-        if (token.rfind(prefix, 0) == 0) {
-            return token.substr(n);
-        }
-        return std::nullopt;
-    };
-    try {
-        if (const auto v = value_of("lambda=")) {
-            out.lambda = std::stoi(*v);
-            return true;
-        }
-        if (const auto v = value_of("slack=")) {
-            out.slack = std::stod(*v) / 100.0;
-            require(out.slack >= 0.0, "slack must be non-negative");
-            return true;
-        }
-    } catch (const std::invalid_argument&) {
-        require(false, "bad numeric value in '" + token + "'");
-    } catch (const std::out_of_range&) {
-        require(false, "numeric value out of range in '" + token + "'");
-    }
-    require(token.rfind("sweep=", 0) != 0,
-            "sweep= is not supported over serve (use mwl_batch)");
-    require(token.rfind("verify=", 0) != 0,
-            "verify= is not supported over serve (use mwl_batch)");
-    return false;
-}
-
-std::vector<serve_item> parse_manifest(std::istream& in)
+/// A manifest as wire-ready items. Only lambda= and slack= travel over
+/// the protocol; sweep= and verify= stay batch-only.
+std::vector<serve_item> read_items(std::istream& in)
 {
     std::vector<serve_item> items;
-    std::string raw;
-    std::size_t line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::istringstream line(raw);
-        std::string keyword;
-        if (!(line >> keyword) || keyword.front() == '#') {
-            continue;
+    for (const cli::manifest_entry& e : cli::parse_manifest(in)) {
+        if (e.sweep) {
+            cli::fail_manifest_line(
+                e.line, "sweep= is not supported over serve (use mwl_batch)");
         }
-        const auto fail = [&](const std::string& message) {
-            std::cerr << "mwl_client: manifest line " << line_no << ": "
-                      << message << '\n';
-            std::exit(2);
-        };
-        try {
-            if (keyword == "graph") {
-                std::string path;
-                if (!(line >> path)) {
-                    fail("expected 'graph FILE ...'");
-                }
-                serve_item item;
-                item.name = path;
-                std::string token;
-                while (line >> token) {
-                    if (!take_directive(token, item)) {
-                        fail("unknown graph token '" + token + "'");
-                    }
-                }
-                std::ifstream gf(path);
-                if (!gf) {
-                    fail("cannot open graph file " + path);
-                }
-                item.graph_text = write_graph(parse_graph(gf));
-                items.push_back(std::move(item));
-            } else if (keyword == "corpus") {
-                serve_item prototype;
-                std::vector<std::string> spec_tokens;
-                std::string token;
-                while (line >> token) {
-                    if (!take_directive(token, prototype)) {
-                        spec_tokens.push_back(token);
-                    }
-                }
-                const corpus_spec spec = corpus_spec::parse(spec_tokens);
-                const sonic_model probe;
-                for (corpus_entry& e : make_corpus(spec, probe)) {
-                    serve_item item = prototype;
-                    item.name = "tgff(ops=" + std::to_string(spec.n_ops) +
-                                ",seed=" + std::to_string(spec.seed) +
-                                ")#" + std::to_string(items.size());
-                    item.graph_text = write_graph(e.graph);
-                    items.push_back(std::move(item));
-                }
-            } else {
-                fail("unknown keyword '" + keyword + "'");
-            }
-        } catch (const error& e) {
-            fail(e.what());
+        if (e.verify) {
+            cli::fail_manifest_line(
+                e.line,
+                "verify= is not supported over serve (use mwl_batch)");
         }
+        items.push_back({e.name, write_graph(e.graph), e.lambda,
+                         e.slack.value_or(0.0)});
     }
     return items;
 }
@@ -329,7 +254,6 @@ void run_connection(const serve::endpoint& ep, std::size_t conn_index,
 int one_shot(const serve::endpoint& ep, const std::string& command,
              const std::vector<std::string>& args)
 {
-    serve::client_connection conn(ep);
     std::string payload;
     if (command == "ping") {
         payload = serve::format_ping_request(1);
@@ -340,26 +264,20 @@ int one_shot(const serve::endpoint& ep, const std::string& command,
             std::cerr << "mwl_client: alloc needs a graph file\n";
             usage(2);
         }
-        serve_item item;
-        for (std::size_t i = 1; i < args.size(); ++i) {
-            if (!take_directive(args[i], item)) {
-                std::cerr << "mwl_client: unknown alloc token '" << args[i]
-                          << "'\n";
-                usage(2);
-            }
+        // `alloc FILE [lambda=N|slack=PCT]` is a one-line graph manifest.
+        std::string line = "graph";
+        for (const std::string& arg : args) {
+            line += ' ' + arg;
         }
-        std::ifstream gf(args[0]);
-        if (!gf) {
-            std::cerr << "mwl_client: cannot open graph file " << args[0]
-                      << '\n';
-            return 2;
-        }
-        payload = serve::format_alloc_request(
-            1, item.lambda, item.slack, write_graph(parse_graph(gf)));
+        std::istringstream in(line);
+        const serve_item item = read_items(in).front();
+        payload = serve::format_alloc_request(1, item.lambda, item.slack,
+                                              item.graph_text);
     } else {
         std::cerr << "mwl_client: unknown command '" << command << "'\n";
         usage(2);
     }
+    serve::client_connection conn(ep);
     if (!conn.send(payload)) {
         std::cerr << "mwl_client: server closed the connection\n";
         return 1;
@@ -410,47 +328,25 @@ int main(int argc, char** argv)
     bool csv = false;
     bool tolerate_disconnect = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_client: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                if (!text.empty() && text[0] == '-') {
-                    throw std::invalid_argument(text);
-                }
-                return std::stoul(text);
-            } catch (const std::exception&) {
-                std::cerr << "mwl_client: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
+    cli::args args("mwl_client", argc, argv, usage);
+    while (args.next()) {
+        const std::string& arg = args.flag();
         if (arg == "--manifest") {
-            manifest_file = value();
+            manifest_file = args.value();
         } else if (arg == "--conns") {
-            conns = count_value();
+            conns = args.threads();
         } else if (arg == "--soak") {
-            soak_requests = count_value();
+            soak_requests = args.count();
         } else if (arg == "--window") {
-            window = count_value();
+            window = args.count();
         } else if (arg == "--json") {
-            json_file = value();
+            json_file = args.value();
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--tolerate-disconnect") {
             tolerate_disconnect = true;
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            std::cerr << "mwl_client: unknown option " << arg << '\n';
-            usage(2);
+        } else if (args.option()) {
+            args.unknown();
         } else if (endpoint_text.empty()) {
             endpoint_text = arg;
         } else if (command.empty() && manifest_file.empty()) {
@@ -464,8 +360,7 @@ int main(int argc, char** argv)
         usage(2);
     }
     if (conns < 1 || window < 1) {
-        std::cerr << "mwl_client: --conns and --window must be >= 1\n";
-        usage(2);
+        args.fail("--conns and --window must be >= 1");
     }
 
     try {
@@ -476,18 +371,12 @@ int main(int argc, char** argv)
         }
 
         // ---- manifest / soak mode ------------------------------------
-        std::ifstream file_in;
-        std::istream* in = &std::cin;
-        if (manifest_file != "-") {
-            file_in.open(manifest_file);
-            if (!file_in) {
-                std::cerr << "mwl_client: cannot open " << manifest_file
-                          << '\n';
-                return 1;
-            }
-            in = &file_in;
+        std::ifstream file;
+        std::istream* in = cli::open_input("mwl_client", manifest_file, file);
+        if (in == nullptr) {
+            return 1;
         }
-        const std::vector<serve_item> items = parse_manifest(*in);
+        const std::vector<serve_item> items = read_items(*in);
         if (items.empty()) {
             std::cerr << "mwl_client: manifest has no entries\n";
             return 2;

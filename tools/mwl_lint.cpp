@@ -13,17 +13,18 @@
 //   mwl_lint fir8 dct8                 # named scenarios
 //   mwl_lint --all                     # every registered scenario
 //   mwl_lint --corpus --ops 12 --count 50 --seed 7
-//   mwl_lint --manifest jobs.txt       # mwl_batch-style manifest
+//   mwl_lint --manifest jobs.txt       # manifest: src/cli/manifest.hpp
 //   mwl_lint --all --mutate unsigned-mul   # soundness harness: expect 1
 //
 // Exit codes: 0 = clean, 1 = findings reported, 2 = usage error.
 
+#include "cli/args.hpp"
+#include "cli/manifest.hpp"
 #include "dfg/analysis.hpp"
 #include "io/graph_io.hpp"
 #include "model/hardware_model.hpp"
 #include "scenarios/scenarios.hpp"
 #include "support/json.hpp"
-#include "support/parse_num.hpp"
 #include "support/timer.hpp"
 #include "verify/differential.hpp"
 
@@ -62,7 +63,8 @@ using namespace mwl;
         "                    (soundness harness; a sound analyzer exits 1):\n"
         "                    operand-zext | capture-zext | unsigned-mul |\n"
         "                    output-recycle\n"
-        "  --jobs N          worker threads [hardware concurrency]\n"
+        "  --jobs N          worker threads, at most " << cli::max_threads
+        << " [hardware concurrency]\n"
         "output:\n"
         "  --json FILE       findings + counters as JSON ('-' = stdout)\n"
         "exit codes: 0 clean, 1 findings, 2 usage error\n";
@@ -95,74 +97,51 @@ int main(int argc, char** argv)
     std::size_t jobs = 0;
     verify_options options;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_lint: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        // parse_*_checked (support/parse_num.hpp) rejects malformed,
-        // out-of-range and partially numeric values ("4x"), so every bad
-        // number lands in the catch below: diagnostic + exit 2, no abort.
-        const auto count_value = [&]() -> std::size_t {
-            return parse_size_checked(value());
-        };
-        try {
-            if (arg == "--all") {
-                all_scenarios_flag = true;
-            } else if (arg == "--graph") {
-                graph_files.push_back(value());
-            } else if (arg == "--manifest") {
-                manifest_file = value();
-            } else if (arg == "--corpus") {
-                use_corpus = true;
-            } else if (arg == "--ops") {
-                spec.n_ops = count_value();
-            } else if (arg == "--count") {
-                spec.count = count_value();
-            } else if (arg == "--seed") {
-                spec.seed = parse_u64_checked(value());
-            } else if (arg == "--mul-fraction") {
-                spec.prototype.mul_fraction =
-                    parse_double_checked(value());
-            } else if (arg == "--min-width") {
-                spec.prototype.min_width = parse_int_checked(value());
-            } else if (arg == "--max-width") {
-                spec.prototype.max_width = parse_int_checked(value());
-            } else if (arg == "--slack") {
-                slack_pct = parse_double_checked(value());
-            } else if (arg == "--no-heuristic") {
-                options.use_heuristic = false;
-            } else if (arg == "--no-two-stage") {
-                options.use_two_stage = false;
-            } else if (arg == "--no-descending") {
-                options.use_descending = false;
-            } else if (arg == "--mutate") {
-                mutate = value();
-            } else if (arg == "--json") {
-                json_file = value();
-            } else if (arg == "--jobs") {
-                jobs = count_value();
-            } else if (arg == "--help" || arg == "-h") {
-                usage(0);
-            } else if (!arg.empty() && arg[0] == '-') {
-                std::cerr << "mwl_lint: unknown option " << arg << '\n';
-                usage(2);
-            } else {
-                scenario_args.push_back(arg);
-            }
-        } catch (const error& e) {
-            std::cerr << "mwl_lint: bad value for " << arg << ": "
-                      << e.what() << '\n';
-            usage(2);
+    cli::args args("mwl_lint", argc, argv, usage);
+    while (args.next()) {
+        const std::string& arg = args.flag();
+        if (arg == "--all") {
+            all_scenarios_flag = true;
+        } else if (arg == "--graph") {
+            graph_files.push_back(args.value());
+        } else if (arg == "--manifest") {
+            manifest_file = args.value();
+        } else if (arg == "--corpus") {
+            use_corpus = true;
+        } else if (arg == "--ops") {
+            spec.n_ops = args.count();
+        } else if (arg == "--count") {
+            spec.count = args.count();
+        } else if (arg == "--seed") {
+            spec.seed = args.u64();
+        } else if (arg == "--mul-fraction") {
+            spec.prototype.mul_fraction = args.real();
+        } else if (arg == "--min-width") {
+            spec.prototype.min_width = args.integer();
+        } else if (arg == "--max-width") {
+            spec.prototype.max_width = args.integer();
+        } else if (arg == "--slack") {
+            slack_pct = args.real();
+        } else if (arg == "--no-heuristic") {
+            options.use_heuristic = false;
+        } else if (arg == "--no-two-stage") {
+            options.use_two_stage = false;
+        } else if (arg == "--no-descending") {
+            options.use_descending = false;
+        } else if (arg == "--mutate") {
+            mutate = args.value();
+        } else if (arg == "--json") {
+            json_file = args.value();
+        } else if (arg == "--jobs") {
+            jobs = args.threads();
+        } else if (arg.starts_with('-')) {
+            args.unknown();
+        } else {
+            scenario_args.push_back(arg);
         }
     }
     if (slack_pct < 0.0) {
-        std::cerr << "mwl_lint: slack must be non-negative\n";
-        usage(2);
+        args.fail("slack must be non-negative");
     }
     if (!mutate.empty()) {
         if (mutate == "operand-zext") {
@@ -174,9 +153,7 @@ int main(int argc, char** argv)
         } else if (mutate == "output-recycle") {
             options.elaborate.legacy_output_recycling = true;
         } else {
-            std::cerr << "mwl_lint: unknown --mutate mode '" << mutate
-                      << "'\n";
-            usage(2);
+            args.fail("unknown --mutate mode '" + mutate + "'");
         }
     }
     options.slack = slack_pct / 100.0;
@@ -226,108 +203,26 @@ int main(int argc, char** argv)
                      &graphs.back(), std::nullopt, default_slack});
             }
         }
+        std::vector<cli::manifest_entry> manifest;
         if (!manifest_file.empty()) {
-            std::ifstream file_in;
-            std::istream* in = &std::cin;
-            if (manifest_file != "-") {
-                file_in.open(manifest_file);
-                if (!file_in) {
-                    std::cerr << "mwl_lint: cannot open " << manifest_file
-                              << '\n';
-                    return 2;
-                }
-                in = &file_in;
+            std::ifstream file;
+            std::istream* in =
+                cli::open_input("mwl_lint", manifest_file, file);
+            if (in == nullptr) {
+                return 2;
             }
-            std::string raw;
-            std::size_t line_no = 0;
-            while (std::getline(*in, raw)) {
-                ++line_no;
-                std::istringstream line(raw);
-                std::string keyword;
-                if (!(line >> keyword) || keyword.front() == '#') {
-                    continue;
-                }
-                const auto fail = [&](const std::string& message) {
-                    std::cerr << "mwl_lint: manifest line " << line_no
-                              << ": " << message << '\n';
-                    std::exit(2);
-                };
-                // lambda=/slack= pick the allocation point; mwl_batch's
-                // sweep=/verify= directives are about *dynamic* work and
-                // are ignored here so one manifest can drive both tools.
-                std::optional<int> lambda;
-                double slack = default_slack;
-                std::vector<std::string> rest;
-                const auto take = [&](const std::string& token) {
-                    // checked parse: "lambda=4x" is a line diagnostic,
-                    // not a silent lambda=4 (and never an abort).
-                    if (token.rfind("lambda=", 0) == 0) {
-                        lambda = parse_int_checked(token.substr(7), token);
-                    } else if (token.rfind("slack=", 0) == 0) {
-                        slack =
-                            parse_double_checked(token.substr(6), token) /
-                            100.0;
-                    } else if (token.rfind("sweep=", 0) == 0 ||
-                               token.rfind("verify=", 0) == 0) {
-                        // ignored
-                    } else {
-                        return false;
-                    }
-                    return true;
-                };
-                try {
-                    if (keyword == "graph") {
-                        std::string path;
-                        if (!(line >> path)) {
-                            fail("expected 'graph FILE ...'");
-                        }
-                        std::string token;
-                        while (line >> token) {
-                            if (!take(token)) {
-                                fail("unknown graph token '" + token + "'");
-                            }
-                        }
-                        std::ifstream gf(path);
-                        if (!gf) {
-                            fail("cannot open graph file " + path);
-                        }
-                        graphs.push_back(parse_graph(gf));
-                        items.push_back({path, &graphs.back(), lambda,
-                                         slack});
-                    } else if (keyword == "corpus") {
-                        std::vector<std::string> spec_tokens;
-                        std::string token;
-                        while (line >> token) {
-                            if (!take(token)) {
-                                spec_tokens.push_back(token);
-                            }
-                        }
-                        const corpus_spec line_spec =
-                            corpus_spec::parse(spec_tokens);
-                        std::size_t entry = 0;
-                        for (corpus_entry& e :
-                             make_corpus(line_spec, model)) {
-                            graphs.push_back(std::move(e.graph));
-                            items.push_back(
-                                {"tgff(ops=" +
-                                     std::to_string(line_spec.n_ops) +
-                                     ",seed=" +
-                                     std::to_string(line_spec.seed) + ")#" +
-                                     std::to_string(entry++),
-                                 &graphs.back(), lambda, slack});
-                        }
-                    } else {
-                        fail("unknown keyword '" + keyword + "'");
-                    }
-                } catch (const error& e) {
-                    fail(e.what());
-                }
-            }
+            manifest = cli::parse_manifest(*in);
+        }
+        // lambda=/slack= pick the allocation point; sweep=/verify= are
+        // about *dynamic* work and are ignored here, so one manifest can
+        // drive both mwl_batch and mwl_lint.
+        for (const cli::manifest_entry& e : manifest) {
+            items.push_back({e.name, &e.graph, e.lambda,
+                             e.slack.value_or(default_slack)});
         }
         if (items.empty()) {
-            std::cerr << "mwl_lint: nothing to lint (give scenario names, "
-                         "--all, --graph, --corpus or --manifest)\n";
-            usage(2);
+            args.fail("nothing to lint (give scenario names, "
+                      "--all, --graph, --corpus or --manifest)");
         }
 
         // ---- analyze, one pool task per item -----------------------------

@@ -23,6 +23,7 @@
 //
 // Exit codes: 0 ok, 1 drift or counterexample, 2 usage/malformed input.
 
+#include "cli/args.hpp"
 #include "core/quality.hpp"
 #include "dfg/analysis.hpp"
 #include "model/hardware_model.hpp"
@@ -91,91 +92,56 @@ int main(int argc, char** argv)
     drift_tolerances tolerances;
     std::size_t verify_inputs = 16;
 
+    cli::args args("mwl_scenarios", argc, argv, usage);
     const auto set_mode = [&](const char* m) {
         if (!mode.empty()) {
-            std::cerr << "mwl_scenarios: modes " << mode << " and " << m
-                      << " are mutually exclusive\n";
-            usage(2);
+            args.fail("modes " + mode + " and " + m +
+                      " are mutually exclusive");
         }
         mode = m;
     };
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_scenarios: missing value for " << arg
-                          << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                if (!text.empty() && text[0] == '-') {
-                    throw std::invalid_argument(text);
-                }
-                return std::stoul(text);
-            } catch (const std::exception&) {
-                std::cerr << "mwl_scenarios: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
-        try {
-            if (arg == "--list" || arg == "--emit" || arg == "--verify") {
-                set_mode(arg.c_str() + 2);
-            } else if (arg == "--update-goldens") {
-                set_mode("update");
-                goldens_dir = value();
-            } else if (arg == "--check") {
-                set_mode("check");
-                goldens_dir = value();
-            } else if (arg == "--scenario") {
-                names.push_back(value());
-            } else if (arg == "--slack") {
-                quality.slack = std::stod(value()) / 100.0;
-            } else if (arg == "--ilp-max-ops") {
-                quality.ilp_max_ops = count_value();
-            } else if (arg == "--tol") {
-                tolerances.area_rel = std::stod(value()) / 100.0;
-            } else if (arg == "--latency-tol") {
-                tolerances.latency_abs = static_cast<int>(count_value());
-            } else if (arg == "--count-tol") {
-                tolerances.count_abs = static_cast<int>(count_value());
-            } else if (arg == "--diff-out") {
-                diff_out = value();
-            } else if (arg == "--inputs") {
-                verify_inputs = count_value();
-            } else if (arg == "--help" || arg == "-h") {
-                usage(0);
-            } else {
-                std::cerr << "mwl_scenarios: unknown option " << arg << '\n';
-                usage(2);
-            }
-        } catch (const std::exception&) {
-            // invalid_argument and out_of_range alike: a typo must be a
-            // diagnostic + exit 2, never an uncaught abort.
-            std::cerr << "mwl_scenarios: bad value for " << arg << '\n';
-            usage(2);
+    while (args.next()) {
+        const std::string& arg = args.flag();
+        if (arg == "--list" || arg == "--emit" || arg == "--verify") {
+            set_mode(arg.c_str() + 2);
+        } else if (arg == "--update-goldens") {
+            set_mode("update");
+            goldens_dir = args.value();
+        } else if (arg == "--check") {
+            set_mode("check");
+            goldens_dir = args.value();
+        } else if (arg == "--scenario") {
+            names.push_back(args.value());
+        } else if (arg == "--slack") {
+            quality.slack = args.real() / 100.0;
+        } else if (arg == "--ilp-max-ops") {
+            quality.ilp_max_ops = args.count();
+        } else if (arg == "--tol") {
+            tolerances.area_rel = args.real() / 100.0;
+        } else if (arg == "--latency-tol") {
+            tolerances.latency_abs = args.integer(0);
+        } else if (arg == "--count-tol") {
+            tolerances.count_abs = args.integer(0);
+        } else if (arg == "--diff-out") {
+            diff_out = args.value();
+        } else if (arg == "--inputs") {
+            verify_inputs = args.count();
+        } else {
+            args.unknown();
         }
     }
     if (mode.empty()) {
-        std::cerr << "mwl_scenarios: pick a mode (--list, --emit, "
-                     "--update-goldens, --check, --verify)\n";
-        usage(2);
+        args.fail("pick a mode (--list, --emit, "
+                  "--update-goldens, --check, --verify)");
     }
     if (quality.slack < 0.0) {
-        std::cerr << "mwl_scenarios: slack must be non-negative\n";
-        usage(2);
+        args.fail("slack must be non-negative");
     }
     if (tolerances.area_rel < 0.0) {
-        std::cerr << "mwl_scenarios: tolerance must be non-negative\n";
-        usage(2);
+        args.fail("tolerance must be non-negative");
     }
     if (mode == "verify" && verify_inputs < 1) {
-        std::cerr << "mwl_scenarios: --inputs must be >= 1\n";
-        usage(2);
+        args.fail("--inputs must be >= 1");
     }
 
     // Argument-shaped failures keep the usage exit code: an unknown

@@ -20,6 +20,7 @@
 //   mwl_serve --tcp 7447 [--host 0.0.0.0]
 //   mwl_serve --unix /tmp/mwl.sock --tcp 0     # ephemeral port, printed
 
+#include "cli/args.hpp"
 #include "serve/server.hpp"
 #include "support/interrupt.hpp"
 
@@ -38,7 +39,8 @@ using namespace mwl;
         "  --unix PATH          listen on a unix socket\n"
         "  --tcp PORT           listen on TCP (0 = ephemeral, printed)\n"
         "  --host ADDR          TCP bind address [127.0.0.1]\n"
-        "  --jobs N             worker threads [hardware concurrency]\n"
+        "  --jobs N             worker threads, at most "
+        << cli::max_threads << " [hardware concurrency]\n"
         "  --cache N            result cache capacity [4096]\n"
         "  --queue-depth N      per-connection admitted-job bound [64]\n"
         "  --max-inflight N     global admitted-job bound [4 x threads]\n"
@@ -60,58 +62,35 @@ int main(int argc, char** argv)
     std::signal(SIGPIPE, SIG_IGN);
 
     serve::server_options options;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_serve: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                if (!text.empty() && text[0] == '-') {
-                    throw std::invalid_argument(text);
-                }
-                return std::stoul(text);
-            } catch (const std::exception&) {
-                std::cerr << "mwl_serve: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
+    cli::args args("mwl_serve", argc, argv, usage);
+    while (args.next()) {
+        const std::string& arg = args.flag();
         if (arg == "--unix") {
-            options.unix_path = value();
+            options.unix_path = args.value();
         } else if (arg == "--tcp") {
-            options.tcp_port = static_cast<int>(count_value());
+            options.tcp_port = args.integer(0, 65535);
         } else if (arg == "--host") {
-            options.tcp_host = value();
+            options.tcp_host = args.value();
         } else if (arg == "--jobs") {
-            options.jobs = count_value();
+            options.jobs = args.threads();
         } else if (arg == "--cache") {
-            options.cache_capacity = count_value();
+            options.cache_capacity = args.count();
         } else if (arg == "--queue-depth") {
-            options.queue_depth = count_value();
+            options.queue_depth = args.count();
         } else if (arg == "--max-inflight") {
-            options.max_inflight = count_value();
+            options.max_inflight = args.count();
         } else if (arg == "--max-frame") {
-            options.max_frame = count_value();
+            options.max_frame = args.count();
         } else if (arg == "--retry-after-ms") {
-            options.retry_after_ms = static_cast<int>(count_value());
+            options.retry_after_ms = args.integer(0);
         } else if (arg == "--max-conns") {
-            options.max_connections = count_value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
+            options.max_connections = args.count();
         } else {
-            std::cerr << "mwl_serve: unknown option " << arg << '\n';
-            usage(2);
+            args.unknown();
         }
     }
     if (options.unix_path.empty() && options.tcp_port < 0) {
-        std::cerr << "mwl_serve: one of --unix or --tcp is required\n";
-        usage(2);
+        args.fail("one of --unix or --tcp is required");
     }
 
     try {

@@ -32,6 +32,7 @@
 // wall-clock fields, and reuse counts the timing-independent
 // cache-or-coalesced sum); timing goes to stdout only.
 
+#include "cli/args.hpp"
 #include "engine/batch_engine.hpp"
 #include "io/graph_io.hpp"
 #include "model/hardware_model.hpp"
@@ -39,7 +40,6 @@
 #include "scenarios/scenarios.hpp"
 #include "support/interrupt.hpp"
 #include "support/json.hpp"
-#include "support/parse_num.hpp"
 #include "support/timer.hpp"
 #include "wordlength/optimizer.hpp"
 #include "wordlength/tune_spec.hpp"
@@ -58,7 +58,8 @@ using namespace mwl;
 {
     std::cout <<
         "usage: mwl_tune SPEC [options]\n"
-        "  --jobs N     worker threads [hardware concurrency]\n"
+        "  --jobs N     worker threads, at most " << cli::max_threads
+        << " [hardware concurrency]\n"
         "  --json FILE  write the frontier + stats as JSON\n"
         "  --csv        CSV on stdout instead of the aligned table\n"
         "  --cache N    engine result-cache capacity [4096]\n"
@@ -126,38 +127,19 @@ int main(int argc, char** argv)
     bool csv = false;
     std::size_t cache_capacity = 4096;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_tune: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        const auto count_value = [&]() -> std::size_t {
-            const std::string text = value();
-            try {
-                return parse_size_checked(text);
-            } catch (const error&) {
-                std::cerr << "mwl_tune: bad numeric value '" << text
-                          << "' for " << arg << '\n';
-                usage(2);
-            }
-        };
+    cli::args args("mwl_tune", argc, argv, usage);
+    while (args.next()) {
+        const std::string& arg = args.flag();
         if (arg == "--jobs") {
-            jobs = count_value();
+            jobs = args.threads();
         } else if (arg == "--json") {
-            json_file = value();
+            json_file = args.value();
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--cache") {
-            cache_capacity = count_value();
-        } else if (arg == "--help" || arg == "-h") {
-            usage(0);
-        } else if (!arg.empty() && arg[0] == '-' && arg != "-") {
-            std::cerr << "mwl_tune: unknown option " << arg << '\n';
-            usage(2);
+            cache_capacity = args.count();
+        } else if (args.option()) {
+            args.unknown();
         } else {
             spec_file = arg;
         }
@@ -169,15 +151,10 @@ int main(int argc, char** argv)
     // ---- parse the spec --------------------------------------------------
     tune_spec spec;
     try {
-        std::ifstream file_in;
-        std::istream* in = &std::cin;
-        if (spec_file != "-") {
-            file_in.open(spec_file);
-            if (!file_in) {
-                std::cerr << "mwl_tune: cannot open " << spec_file << '\n';
-                return 1;
-            }
-            in = &file_in;
+        std::ifstream file;
+        std::istream* in = cli::open_input("mwl_tune", spec_file, file);
+        if (in == nullptr) {
+            return 1;
         }
         spec = tune_spec::parse(*in);
     } catch (const spec_error& e) {

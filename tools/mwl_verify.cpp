@@ -24,10 +24,10 @@
 // interpretation instead of execution, so it covers *all* input values at
 // a fraction of the cost (see PERF.md).
 
+#include "cli/args.hpp"
 #include "dfg/analysis.hpp"
 #include "io/graph_io.hpp"
 #include "model/hardware_model.hpp"
-#include "support/parse_num.hpp"
 #include "support/timer.hpp"
 #include "verify/differential.hpp"
 
@@ -60,7 +60,8 @@ using namespace mwl;
         "                    drop an allocator from the cross-check\n"
         "  --static          static value-range analysis instead of input\n"
         "                    vectors (--inputs/--ilp-max-ops ignored)\n"
-        "  --jobs N          worker threads [hardware concurrency]\n";
+        "  --jobs N          worker threads, at most " << cli::max_threads
+        << " [hardware concurrency]\n";
     std::exit(code);
 }
 
@@ -78,87 +79,60 @@ int main(int argc, char** argv)
     bool static_mode = false;
     std::vector<std::string> graph_files;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto value = [&]() -> std::string {
-            if (i + 1 >= argc) {
-                std::cerr << "mwl_verify: missing value for " << arg << '\n';
-                usage(2);
-            }
-            return argv[++i];
-        };
-        // parse_*_checked (support/parse_num.hpp) rejects malformed,
-        // out-of-range, negative-where-unsigned and partially numeric
-        // values ("4x"), so every bad number lands in the catch below:
-        // diagnostic + exit 2, never an abort or a silent truncation.
-        const auto count_value = [&]() -> std::size_t {
-            return parse_size_checked(value());
-        };
-        try {
-            if (arg == "--ops") {
-                spec.n_ops = count_value();
-            } else if (arg == "--count") {
-                spec.count = count_value();
-            } else if (arg == "--seed") {
-                spec.seed = parse_u64_checked(value());
-            } else if (arg == "--mul-fraction") {
-                spec.prototype.mul_fraction =
-                    parse_double_checked(value());
-            } else if (arg == "--min-width") {
-                spec.prototype.min_width = parse_int_checked(value());
-            } else if (arg == "--max-width") {
-                spec.prototype.max_width = parse_int_checked(value());
-            } else if (arg == "--inputs") {
-                options.inputs_per_graph = count_value();
-            } else if (arg == "--slack") {
-                slack_pct = parse_double_checked(value());
-            } else if (arg == "--ilp-max-ops") {
-                options.ilp_max_ops = count_value();
-            } else if (arg == "--no-heuristic") {
-                options.use_heuristic = false;
-            } else if (arg == "--no-two-stage") {
-                options.use_two_stage = false;
-            } else if (arg == "--no-descending") {
-                options.use_descending = false;
-            } else if (arg == "--static") {
-                static_mode = true;
-            } else if (arg == "--jobs") {
-                jobs = count_value();
-            } else if (arg == "--graph") {
-                graph_files.push_back(value());
-            } else if (arg == "--help" || arg == "-h") {
-                usage(0);
-            } else {
-                std::cerr << "mwl_verify: unknown option " << arg << '\n';
-                usage(2);
-            }
-        } catch (const error& e) {
-            std::cerr << "mwl_verify: bad value for " << arg << ": "
-                      << e.what() << '\n';
-            usage(2);
+    cli::args args("mwl_verify", argc, argv, usage);
+    while (args.next()) {
+        const std::string& arg = args.flag();
+        if (arg == "--ops") {
+            spec.n_ops = args.count();
+        } else if (arg == "--count") {
+            spec.count = args.count();
+        } else if (arg == "--seed") {
+            spec.seed = args.u64();
+        } else if (arg == "--mul-fraction") {
+            spec.prototype.mul_fraction = args.real();
+        } else if (arg == "--min-width") {
+            spec.prototype.min_width = args.integer();
+        } else if (arg == "--max-width") {
+            spec.prototype.max_width = args.integer();
+        } else if (arg == "--inputs") {
+            options.inputs_per_graph = args.count();
+        } else if (arg == "--slack") {
+            slack_pct = args.real();
+        } else if (arg == "--ilp-max-ops") {
+            options.ilp_max_ops = args.count();
+        } else if (arg == "--no-heuristic") {
+            options.use_heuristic = false;
+        } else if (arg == "--no-two-stage") {
+            options.use_two_stage = false;
+        } else if (arg == "--no-descending") {
+            options.use_descending = false;
+        } else if (arg == "--static") {
+            static_mode = true;
+        } else if (arg == "--jobs") {
+            jobs = args.threads();
+        } else if (arg == "--graph") {
+            graph_files.push_back(args.value());
+        } else {
+            args.unknown();
         }
     }
     if (slack_pct < 0.0) {
-        std::cerr << "mwl_verify: slack must be non-negative\n";
-        usage(2);
+        args.fail("slack must be non-negative");
     }
     // Zero vectors or an empty corpus would print the OK banner having
     // checked nothing; refuse, matching mwl_batch's verify= validation.
     if (options.inputs_per_graph < 1) {
-        std::cerr << "mwl_verify: --inputs must be >= 1\n";
-        usage(2);
+        args.fail("--inputs must be >= 1");
     }
     if (graph_files.empty() && spec.count < 1) {
-        std::cerr << "mwl_verify: --count must be >= 1\n";
-        usage(2);
+        args.fail("--count must be >= 1");
     }
     // The simulator's int64 wrap contract holds for widths < 63; an n x m
     // multiplier produces n + m result bits, so corpus wordlengths must
     // stay <= 31 for the verdicts to be meaningful.
     if (spec.prototype.max_width > 31) {
-        std::cerr << "mwl_verify: --max-width must be <= 31 (an n x m "
-                     "multiplier needs n + m < 63 simulable bits)\n";
-        usage(2);
+        args.fail("--max-width must be <= 31 (an n x m "
+                  "multiplier needs n + m < 63 simulable bits)");
     }
     options.seed = spec.seed;
     options.slack = slack_pct / 100.0;
