@@ -1,17 +1,14 @@
-// Design-space exploration: Pareto sweep + local search + RTL costing.
+// Design-space exploration: Pareto sweep + RTL costing.
 //
 // The workflow a designer would actually run on a multiple-wordlength
 // kernel: sweep the latency constraint to get the area/latency frontier
-// (core/pareto.hpp), polish each point with the validator-driven local
-// search (improve/local_search.hpp), and price the winners at the
-// register-transfer level including registers and muxes (rtl/netlist.hpp).
+// (core/pareto.hpp), then price each point at the register-transfer level
+// including registers and muxes (rtl/netlist.hpp).
 //
 // Build & run:  ./build/examples/design_space
 
 #include "core/pareto.hpp"
-#include "core/validate.hpp"
 #include "dfg/analysis.hpp"
-#include "improve/local_search.hpp"
 #include "model/hardware_model.hpp"
 #include "report/table.hpp"
 #include "rtl/netlist.hpp"
@@ -35,18 +32,13 @@ int main()
     const auto frontier = pareto_sweep(graph, model, popt);
 
     table t("Design space of a 14-op kernel (areas in model units)");
-    t.header({"lambda", "latency", "FU area", "after local search",
-              "FU+reg+mux", "#FUs", "#regs"});
+    t.header({"lambda", "latency", "FU area", "FU+reg+mux", "#FUs",
+              "#regs"});
     for (const pareto_point& p : frontier) {
-        const improve_result polished =
-            improve_datapath(graph, model, p.path, p.lambda);
-        require_valid(graph, model, polished.path, p.lambda);
-        const rtl_netlist net = build_rtl(graph, model, polished.path);
+        const rtl_netlist net = build_rtl(graph, model, p.path);
         t.row({table::num(p.lambda), table::num(p.latency),
-               table::num(p.area, 0),
-               table::num(polished.path.total_area, 0),
-               table::num(net.total_area(), 0),
-               table::num(static_cast<int>(polished.path.instances.size())),
+               table::num(p.area, 0), table::num(net.total_area(), 0),
+               table::num(static_cast<int>(p.path.instances.size())),
                table::num(static_cast<int>(net.registers.size()))});
     }
     t.print(std::cout);

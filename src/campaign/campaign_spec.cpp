@@ -2,6 +2,7 @@
 
 #include "scenarios/scenarios.hpp"
 #include "support/hash.hpp"
+#include "support/line_grammar.hpp"
 #include "support/parse_num.hpp"
 #include "support/rng.hpp"
 
@@ -13,286 +14,221 @@ namespace mwl {
 
 namespace {
 
-[[noreturn]] void fail_line(std::size_t line_no, const std::string& message)
+/// Calls `take` on each comma-separated element of `list` ("1,2,4").
+template <typename Take>
+void for_each_item(const std::string& list, Take&& take)
 {
-    throw spec_error("spec line " + std::to_string(line_no) + ": " +
-                     message);
-}
-
-/// `text` through one of support/parse_num's checked parsers; a bad
-/// number is a spec error naming the line, the key and the text.
-template <typename Parse>
-auto spec_number(Parse parse, const std::string& text, std::size_t line_no,
-                 const std::string& what)
-{
-    try {
-        return parse(text, std::string());
-    } catch (const precondition_error&) {
-        fail_line(line_no, "bad " + what + " value '" + text + "'");
+    std::size_t pos = 0;
+    while (pos <= list.size()) {
+        const std::size_t comma = std::min(list.find(',', pos), list.size());
+        take(list.substr(pos, comma - pos));
+        pos = comma + 1;
     }
 }
 
-int parse_int(const std::string& text, std::size_t line_no,
-              const std::string& what)
-{
-    return spec_number(parse_int_checked, text, line_no, what);
-}
-
-std::uint64_t parse_u64(const std::string& text, std::size_t line_no,
-                        const std::string& what)
-{
-    return spec_number(parse_u64_checked, text, line_no, what);
-}
-
-/// `1,2,4` -> {1, 2, 4}; each element a positive int.
-std::vector<int> parse_int_list(const std::string& text, std::size_t line_no,
+/// `1,2,4` -> {1, 2, 4}; each element a positive int, no duplicates.
+std::vector<int> parse_int_list(const std::string& value,
+                                const std::string& token,
                                 const std::string& what)
 {
     std::vector<int> values;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t comma = std::min(text.find(',', pos), text.size());
-        const int value =
-            parse_int(text.substr(pos, comma - pos), line_no, what);
-        if (value < 1) {
-            fail_line(line_no, what + " values must be >= 1");
-        }
-        if (std::find(values.begin(), values.end(), value) != values.end()) {
-            fail_line(line_no, "duplicate " + what + " value " +
-                                   std::to_string(value));
-        }
-        values.push_back(value);
-        pos = comma + 1;
-    }
+    for_each_item(value, [&](const std::string& item) {
+        const int v = parse_int_checked(item, token);
+        require(v >= 1, what + " values must be >= 1");
+        require(std::find(values.begin(), values.end(), v) == values.end(),
+                "duplicate " + what + " value " + std::to_string(v));
+        values.push_back(v);
+    });
     return values;
 }
 
-/// Split `lo..hi` around the dots; both halves are ints.
-void parse_range(const std::string& text, std::size_t line_no, int& lo,
-                 int& hi)
+/// `lo..hi`, or a single value as the degenerate range lo..lo.
+void parse_range(const std::string& value, const std::string& token,
+                 int& lo, int& hi)
 {
-    const std::size_t dots = text.find("..");
+    const std::size_t dots = value.find("..");
     if (dots == std::string::npos) {
-        // A single value is the degenerate range lo..lo.
-        lo = hi = parse_int(text, line_no, "slack");
+        lo = hi = parse_int_checked(value, token);
         return;
     }
-    lo = parse_int(text.substr(0, dots), line_no, "slack");
-    hi = parse_int(text.substr(dots + 2), line_no, "slack");
+    lo = parse_int_checked(value.substr(0, dots), token);
+    hi = parse_int_checked(value.substr(dots + 2), token);
 }
 
-/// `1e-6,1e-5` -> {1e-6, 1e-5}; each element a positive double, no
-/// duplicates (the budget list of a tune line).
-std::vector<double> parse_double_list(const std::string& text,
-                                      std::size_t line_no,
-                                      const std::string& what)
+/// Throws `spec_error` when `expand` would list more than
+/// max_campaign_points points. The product saturates, so it cannot
+/// overflow.
+void require_point_limit(const campaign_spec& spec)
 {
-    std::vector<double> values;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t comma = std::min(text.find(',', pos), text.size());
-        const std::string token = text.substr(pos, comma - pos);
-        const double value =
-            spec_number(parse_double_checked, token, line_no, what);
-        if (value <= 0.0) {
-            fail_line(line_no, what + " values must be positive");
-        }
-        if (std::find(values.begin(), values.end(), value) != values.end()) {
-            fail_line(line_no, "duplicate " + what + " value '" + token +
-                                   "'");
-        }
-        values.push_back(value);
-        pos = comma + 1;
+    constexpr std::uint64_t cap = max_campaign_points + 1;
+    const std::uint64_t span =
+        spec.slack_hi < spec.slack_lo
+            ? 0
+            : static_cast<std::uint64_t>(std::int64_t{spec.slack_hi} -
+                                         spec.slack_lo);
+    const std::uint64_t factors[] = {
+        spec.scenarios.size(),
+        std::min<std::uint64_t>(spec.perturb_count, cap) + 1,
+        spec.adder_latencies.size(),
+        spec.mul_bits_per_cycle.size(),
+        spec.slack_step < 1 ? cap : span / spec.slack_step + 1,
+        spec.tune_budgets.size()};
+    std::uint64_t points = 1;
+    for (const std::uint64_t f : factors) {
+        // An empty factor counts once: expand() still runs the loops
+        // outside it.
+        points = std::min(points * std::clamp<std::uint64_t>(f, 1, cap), cap);
     }
-    return values;
-}
-
-/// key=value splitter for the lambda/model/perturb keyword lines.
-bool split_kv(const std::string& token, std::string& key, std::string& value)
-{
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= token.size()) {
-        return false;
+    if (points == cap) {
+        throw spec_error("spec expands to more than " +
+                         std::to_string(max_campaign_points) + " points");
     }
-    key = token.substr(0, eq);
-    value = token.substr(eq + 1);
-    return true;
 }
 
 } // namespace
+
+std::vector<std::string> read_scenario_line(
+    std::istream& line, std::unordered_set<std::string>& seen)
+{
+    const std::vector<std::string> known = scenario_names();
+    std::vector<std::string> names;
+    std::string name;
+    bool any = false;
+    while (line >> name) {
+        any = true;
+        if (name == "all") {
+            for (const std::string& each : known) {
+                if (seen.insert(each).second) {
+                    names.push_back(each);
+                }
+            }
+            continue;
+        }
+        require(std::find(known.begin(), known.end(), name) != known.end(),
+                "unknown scenario '" + name + "'");
+        require(seen.insert(name).second,
+                "duplicate scenario '" + name + "'");
+        names.push_back(name);
+    }
+    require(any, "expected 'scenario NAME ...'");
+    return names;
+}
+
+void add_budget(std::vector<double>& budgets, const std::string& text,
+                const std::string& context)
+{
+    const double value = parse_double_checked(text, context);
+    require(value > 0.0, "budgets must be positive, got '" + text + "'");
+    require(std::find(budgets.begin(), budgets.end(), value) ==
+                budgets.end(),
+            "duplicate budget '" + text + "'");
+    budgets.push_back(value);
+}
+
+void require_frac_range(int min_frac, int max_frac)
+{
+    require(min_frac >= 0 && min_frac <= max_frac,
+            "frac range must be 0 <= min <= max");
+}
 
 campaign_spec campaign_spec::parse(std::istream& in)
 {
     campaign_spec spec;
     std::unordered_set<std::string> seen_scenarios;
-    bool saw_lambda = false;
-    bool saw_model = false;
-    bool saw_perturb = false;
-    bool saw_tune = false;
-
-    const std::vector<std::string> known = scenario_names();
-    std::string raw;
-    std::size_t line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::istringstream line(raw);
-        std::string keyword;
-        if (!(line >> keyword) || keyword.front() == '#') {
-            continue;
-        }
+    once_per_spec sections;
+    const auto on_line = [&](const std::string& keyword, std::istream& line,
+                             std::size_t) {
         if (keyword == "scenario") {
-            std::string name;
-            bool any = false;
-            while (line >> name) {
-                any = true;
-                if (name == "all") {
-                    for (const std::string& each : known) {
-                        if (seen_scenarios.insert(each).second) {
-                            spec.scenarios.push_back(each);
-                        }
-                    }
-                    continue;
-                }
-                if (std::find(known.begin(), known.end(), name) ==
-                    known.end()) {
-                    fail_line(line_no, "unknown scenario '" + name + "'");
-                }
-                if (!seen_scenarios.insert(name).second) {
-                    fail_line(line_no, "duplicate scenario '" + name + "'");
-                }
-                spec.scenarios.push_back(name);
+            for (std::string& name : read_scenario_line(line, seen_scenarios)) {
+                spec.scenarios.push_back(std::move(name));
             }
-            if (!any) {
-                fail_line(line_no, "expected 'scenario NAME ...'");
-            }
-        } else if (keyword == "lambda") {
-            if (saw_lambda) {
-                fail_line(line_no, "duplicate lambda line");
-            }
-            saw_lambda = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no, "expected key=value, got '" + token +
-                                           "'");
-                }
+            return;
+        }
+        sections.enter(keyword);
+        if (keyword == "lambda") {
+            for_each_key_value(line, keyword, [&](const std::string& key,
+                                                  const std::string& value,
+                                                  const std::string& token) {
                 if (key == "slack") {
-                    parse_range(value, line_no, spec.slack_lo,
-                                spec.slack_hi);
+                    parse_range(value, token, spec.slack_lo, spec.slack_hi);
                 } else if (key == "step") {
-                    spec.slack_step = parse_int(value, line_no, "step");
+                    spec.slack_step = parse_int_checked(value, token);
                 } else {
-                    fail_line(line_no, "unknown lambda key '" + key + "'");
+                    return false;
                 }
-            }
-            if (spec.slack_lo < 0 || spec.slack_hi < spec.slack_lo) {
-                fail_line(line_no, "slack range must be 0 <= lo <= hi");
-            }
-            if (spec.slack_step < 1) {
-                fail_line(line_no, "step must be >= 1");
-            }
+                return true;
+            });
+            require(spec.slack_lo >= 0 && spec.slack_hi >= spec.slack_lo &&
+                        spec.slack_hi <= max_campaign_slack_percent,
+                    "slack range must be 0 <= lo <= hi <= " +
+                        std::to_string(max_campaign_slack_percent));
+            require(spec.slack_step >= 1, "step must be >= 1");
         } else if (keyword == "model") {
-            if (saw_model) {
-                fail_line(line_no, "duplicate model line");
-            }
-            saw_model = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no, "expected key=value, got '" + token +
-                                           "'");
-                }
+            for_each_key_value(line, keyword, [&](const std::string& key,
+                                                  const std::string& value,
+                                                  const std::string& token) {
                 if (key == "adder-latency") {
-                    spec.adder_latencies =
-                        parse_int_list(value, line_no, "adder-latency");
+                    spec.adder_latencies = parse_int_list(value, token, key);
                 } else if (key == "mul-bits-per-cycle") {
                     spec.mul_bits_per_cycle =
-                        parse_int_list(value, line_no, "mul-bits-per-cycle");
+                        parse_int_list(value, token, key);
                 } else {
-                    fail_line(line_no, "unknown model key '" + key + "'");
+                    return false;
                 }
-            }
+                return true;
+            });
         } else if (keyword == "perturb") {
-            if (saw_perturb) {
-                fail_line(line_no, "duplicate perturb line");
-            }
-            saw_perturb = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no, "expected key=value, got '" + token +
-                                           "'");
-                }
+            for_each_key_value(line, keyword, [&](const std::string& key,
+                                                  const std::string& value,
+                                                  const std::string& token) {
                 if (key == "count") {
-                    spec.perturb_count = parse_u64(value, line_no, "count");
+                    spec.perturb_count = parse_u64_checked(value, token);
                 } else if (key == "flips") {
-                    spec.perturb_flips = parse_int(value, line_no, "flips");
-                    if (spec.perturb_flips < 1) {
-                        fail_line(line_no, "flips must be >= 1");
-                    }
+                    spec.perturb_flips = parse_int_checked(value, token);
+                    require(spec.perturb_flips >= 1, "flips must be >= 1");
                 } else if (key == "seed") {
-                    spec.perturb_seed = parse_u64(value, line_no, "seed");
+                    spec.perturb_seed = parse_u64_checked(value, token);
                 } else {
-                    fail_line(line_no, "unknown perturb key '" + key + "'");
+                    return false;
                 }
-            }
-            if (spec.perturb_count < 1) {
-                fail_line(line_no, "perturb needs count=N (>= 1)");
-            }
+                return true;
+            });
+            require(spec.perturb_count >= 1, "perturb needs count=N (>= 1)");
         } else if (keyword == "tune") {
-            if (saw_tune) {
-                fail_line(line_no, "duplicate tune line");
-            }
-            saw_tune = true;
-            std::string token;
-            std::string key;
-            std::string value;
-            while (line >> token) {
-                if (!split_kv(token, key, value)) {
-                    fail_line(line_no, "expected key=value, got '" + token +
-                                           "'");
-                }
+            for_each_key_value(line, keyword, [&](const std::string& key,
+                                                  const std::string& value,
+                                                  const std::string& token) {
                 if (key == "budget") {
-                    spec.tune_budgets =
-                        parse_double_list(value, line_no, "budget");
+                    spec.tune_budgets.clear();
+                    for_each_item(value, [&](const std::string& item) {
+                        add_budget(spec.tune_budgets, item, token);
+                    });
                 } else if (key == "min-frac") {
-                    spec.tune_min_frac = parse_int(value, line_no,
-                                                   "min-frac");
+                    spec.tune_min_frac = parse_int_checked(value, token);
                 } else if (key == "max-frac") {
-                    spec.tune_max_frac = parse_int(value, line_no,
-                                                   "max-frac");
+                    spec.tune_max_frac = parse_int_checked(value, token);
                 } else if (key == "seed") {
-                    spec.tune_seed = parse_u64(value, line_no, "seed");
+                    spec.tune_seed = parse_u64_checked(value, token);
                 } else if (key == "max-steps") {
-                    spec.tune_max_steps =
-                        parse_u64(value, line_no, "max-steps");
+                    spec.tune_max_steps = parse_u64_checked(value, token);
                 } else if (key == "anneal") {
-                    spec.tune_anneal = parse_u64(value, line_no, "anneal");
+                    spec.tune_anneal = parse_u64_checked(value, token);
                 } else {
-                    fail_line(line_no, "unknown tune key '" + key + "'");
+                    return false;
                 }
-            }
-            if (spec.tune_budgets.empty()) {
-                fail_line(line_no, "tune needs budget=LIST");
-            }
-            if (spec.tune_min_frac < 0 ||
-                spec.tune_max_frac < spec.tune_min_frac) {
-                fail_line(line_no,
-                          "tune frac range must be 0 <= min <= max");
-            }
+                return true;
+            });
+            require(!spec.tune_budgets.empty(), "tune needs budget=LIST");
+            require_frac_range(spec.tune_min_frac, spec.tune_max_frac);
         } else {
-            fail_line(line_no, "unknown keyword '" + keyword + "'");
+            throw precondition_error("unknown keyword '" + keyword + "'");
         }
-    }
+    };
+    for_each_line<spec_error>(in, "spec line", on_line);
     if (spec.scenarios.empty()) {
         throw spec_error("spec names no scenarios");
     }
+    require_point_limit(spec);
     return spec;
 }
 
@@ -320,20 +256,23 @@ std::string campaign_point::key() const
 
 std::vector<campaign_point> expand(const campaign_spec& spec)
 {
+    // The limit bounds every loop below; the slack loop runs in 64 bits
+    // so `slack += step` cannot overflow at INT_MAX.
+    require_point_limit(spec);
     std::vector<campaign_point> points;
     for (const std::string& scenario : spec.scenarios) {
         for (std::size_t v = 0; v <= spec.perturb_count; ++v) {
             for (const int adder : spec.adder_latencies) {
                 for (const int bits : spec.mul_bits_per_cycle) {
-                    for (int slack = spec.slack_lo; slack <= spec.slack_hi;
-                         slack += spec.slack_step) {
+                    for (std::int64_t slack = spec.slack_lo;
+                         slack <= spec.slack_hi; slack += spec.slack_step) {
                         campaign_point p;
                         p.index = points.size();
                         p.scenario = scenario;
                         p.variant = v;
                         p.adder_latency = adder;
                         p.mul_bits_per_cycle = bits;
-                        p.slack_percent = slack;
+                        p.slack_percent = static_cast<int>(slack);
                         if (spec.tune_budgets.empty()) {
                             points.push_back(std::move(p));
                             continue;

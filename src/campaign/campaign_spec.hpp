@@ -22,6 +22,12 @@
 // budget list adds an innermost loop to the grid; specs without a tune
 // line expand and fingerprint exactly as before.
 //
+// Lines follow the shared text-input rules (support/line_grammar.hpp):
+// blank and '#' lines skipped, `key=value` options, "spec line N: " on
+// every diagnostic, parse_num's wording for a bad number. A spec may
+// expand to at most `max_campaign_points` points and relax lambda by at
+// most `max_campaign_slack_percent`.
+//
 // `expand()` turns a spec into the campaign's *deterministic point list*:
 // a fixed nested-loop order (scenario, variant, adder-latency, mul-bits,
 // slack) in which every point has a stable index and a stable human-
@@ -38,6 +44,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 namespace mwl {
@@ -47,6 +54,14 @@ class spec_error : public error {
 public:
     using error::error;
 };
+
+/// The size contract of a campaign: far above any real sweep (each point
+/// is at least one allocation; the paper relaxes lambda by 0-30 %), low
+/// enough that a typo such as `perturb count=18446744073709551615` is a
+/// spec error, not an allocation that never ends, and a slack cannot
+/// stretch lambda (and the scheduler's horizon-sized buffers) ~1e7-fold.
+inline constexpr std::uint64_t max_campaign_points = 1000000;
+inline constexpr int max_campaign_slack_percent = 10000;
 
 struct campaign_spec {
     /// Scenario names in declaration order (validated against the
@@ -87,7 +102,8 @@ struct campaign_spec {
 
     /// Parse a spec. Throws `spec_error` with the offending 1-based line
     /// number on unknown keywords/keys, bad values, duplicate sections,
-    /// unknown scenario names, or a spec naming no scenarios.
+    /// unknown scenario names; without one on a spec naming no scenarios
+    /// or expanding to more than `max_campaign_points` points.
     [[nodiscard]] static campaign_spec parse(std::istream& in);
     [[nodiscard]] static campaign_spec parse(const std::string& text);
 };
@@ -111,6 +127,7 @@ struct campaign_point {
 };
 
 /// The spec's deterministic point list (see the ordering contract above).
+/// Throws `spec_error` beyond `max_campaign_points` points.
 [[nodiscard]] std::vector<campaign_point> expand(const campaign_spec& spec);
 
 /// Content fingerprint of a point list (and the store format it implies);
@@ -126,6 +143,23 @@ struct campaign_point {
 [[nodiscard]] sequencing_graph make_variant_graph(const campaign_spec& spec,
                                                   const std::string& scenario,
                                                   std::size_t variant);
+
+// Statements campaign and tune specs (wordlength/tune_spec.hpp) share.
+// Each throws `precondition_error` with a bare message, which the line
+// loop locates.
+
+/// The names of a `scenario NAME... | all` line, each a registry scenario
+/// not yet in `seen` (`all`: every such one); adds them to `seen`.
+[[nodiscard]] std::vector<std::string> read_scenario_line(
+    std::istream& line, std::unordered_set<std::string>& seen);
+
+/// Appends the budget `text` (context: see parse_num) to `budgets`:
+/// positive, not already listed.
+void add_budget(std::vector<double>& budgets, const std::string& text,
+                const std::string& context);
+
+/// Fractional widths must satisfy 0 <= min <= max.
+void require_frac_range(int min_frac, int max_frac);
 
 } // namespace mwl
 

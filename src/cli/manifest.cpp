@@ -1,13 +1,13 @@
 #include "cli/manifest.hpp"
 
 #include "io/graph_io.hpp"
+#include "support/line_grammar.hpp"
 #include "support/parse_num.hpp"
 #include "tgff/corpus.hpp"
 #include "verify/differential.hpp"
 
 #include <fstream>
 #include <istream>
-#include <sstream>
 
 namespace mwl::cli {
 namespace {
@@ -15,12 +15,11 @@ namespace {
 /// Records `token` when it is a directive; false for anything else.
 bool take_directive(const std::string& token, manifest_entry& out)
 {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
+    std::string key;
+    std::string value;
+    if (!split_key_value(token, key, value)) {
         return false;
     }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
     if (key == "lambda") {
         out.lambda = parse_int_checked(value, token);
     } else if (key == "slack") {
@@ -38,9 +37,9 @@ bool take_directive(const std::string& token, manifest_entry& out)
     return true;
 }
 
-/// Appends the entries of one non-comment line; throws `error` with the
-/// bare message, which the caller prefixes with the line number.
-void parse_line(std::istringstream& line, const std::string& keyword,
+/// Appends the entries of one statement; throws `error` with the bare
+/// message, which `for_each_line` prefixes with the line number.
+void parse_line(std::istream& line, const std::string& keyword,
                 std::size_t line_no, std::vector<manifest_entry>& entries)
 {
     const bool graph = keyword == "graph";
@@ -87,28 +86,18 @@ void parse_line(std::istringstream& line, const std::string& keyword,
 std::vector<manifest_entry> parse_manifest(std::istream& in)
 {
     std::vector<manifest_entry> entries;
-    std::string raw;
-    std::size_t line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::istringstream line(raw);
-        std::string keyword;
-        if (!(line >> keyword) || keyword.front() == '#') {
-            continue;
-        }
-        try {
+    for_each_line<manifest_error>(
+        in, "manifest line",
+        [&](const std::string& keyword, std::istream& line,
+            std::size_t line_no) {
             parse_line(line, keyword, line_no, entries);
-        } catch (const error& e) {
-            fail_manifest_line(line_no, e.what());
-        }
-    }
+        });
     return entries;
 }
 
 void fail_manifest_line(std::size_t line, const std::string& message)
 {
-    throw manifest_error("manifest line " + std::to_string(line) + ": " +
-                         message);
+    throw manifest_error(line_diagnostic("manifest line", line, message));
 }
 
 } // namespace mwl::cli

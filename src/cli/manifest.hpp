@@ -1,6 +1,6 @@
 // The manifest grammar shared by mwl_batch, mwl_client and mwl_lint.
-// One entry per line; blank lines and lines whose first token starts
-// with '#' are skipped:
+// One entry per line under the shared text-input rules
+// (support/line_grammar.hpp):
 //
 //   graph FILE [DIRECTIVE]...
 //   corpus ops=N count=N [seed=S] [mul-fraction=F] [min-width=W]
@@ -12,10 +12,10 @@
 //   verify=N     differential verification on N >= 1 input vectors
 //
 // `sweep=` and `verify=` are mutually exclusive. A corpus line expands to
-// `count` entries (tgff/corpus.hpp) named `tgff(ops=N,seed=S)#k`, k being
-// the entry's index in the whole manifest. Numbers must parse whole
-// (support/parse_num.hpp). The parser records directives; each tool
-// decides which it honours.
+// `count` entries (tgff/corpus.hpp, which bounds ops and count) named
+// `tgff(ops=N,seed=S)#k`, k being the entry's index in the whole
+// manifest. Numbers must parse whole (support/parse_num.hpp). The
+// parser records directives; each tool decides which it honours.
 
 #ifndef MWL_CLI_MANIFEST_HPP
 #define MWL_CLI_MANIFEST_HPP

@@ -1,6 +1,7 @@
 #include "io/graph_io.hpp"
 
 #include "support/hash.hpp"
+#include "support/line_grammar.hpp"
 
 #include <map>
 #include <sstream>
@@ -8,20 +9,20 @@
 namespace mwl {
 namespace {
 
-[[noreturn]] void fail(std::size_t line, const std::string& message)
+/// A bad line, bare; `for_each_line` adds "line N: ".
+[[noreturn]] void fail(const std::string& message)
 {
-    throw parse_error("line " + std::to_string(line) + ": " + message);
+    throw parse_error(message);
 }
 
-int parse_width(std::istringstream& in, std::size_t line,
-                const char* what)
+int parse_width(std::istream& in, const char* what)
 {
     int width = 0;
     if (!(in >> width)) {
-        fail(line, std::string("expected ") + what);
+        fail(std::string("expected ") + what);
     }
     if (width < 1) {
-        fail(line, std::string(what) + " must be >= 1");
+        fail(std::string(what) + " must be >= 1");
     }
     return width;
 }
@@ -32,66 +33,52 @@ sequencing_graph parse_graph(std::istream& in)
 {
     sequencing_graph graph;
     std::map<std::string, op_id> by_name;
-
-    std::string raw;
-    std::size_t line_no = 0;
-    while (std::getline(in, raw)) {
-        ++line_no;
-        std::istringstream line(raw);
-        std::string keyword;
-        if (!(line >> keyword) || keyword.front() == '#') {
-            continue; // blank or comment
-        }
+    const auto on_line = [&](const std::string& keyword, std::istream& line,
+                             std::size_t) {
         if (keyword == "op") {
             std::string name;
             std::string kind;
             if (!(line >> name >> kind)) {
-                fail(line_no, "expected 'op <name> <add|mul> ...'");
+                fail("expected 'op <name> <add|mul> ...'");
             }
             if (by_name.contains(name)) {
-                fail(line_no, "duplicate operation name '" + name + "'");
+                fail("duplicate operation name '" + name + "'");
             }
             op_shape shape = op_shape::adder(1);
             if (kind == "add") {
-                shape = op_shape::adder(
-                    parse_width(line, line_no, "adder width"));
+                shape = op_shape::adder(parse_width(line, "adder width"));
             } else if (kind == "mul") {
-                const int a =
-                    parse_width(line, line_no, "multiplier width_a");
-                const int b =
-                    parse_width(line, line_no, "multiplier width_b");
+                const int a = parse_width(line, "multiplier width_a");
+                const int b = parse_width(line, "multiplier width_b");
                 shape = op_shape::multiplier(a, b);
             } else {
-                fail(line_no, "unknown operation kind '" + kind + "'");
+                fail("unknown operation kind '" + kind + "'");
             }
             std::string extra;
             if (line >> extra) {
-                fail(line_no, "trailing tokens after operation");
+                fail("trailing tokens after operation");
             }
             by_name.emplace(name, graph.add_operation(shape, name));
         } else if (keyword == "dep") {
             std::string from;
             std::string to;
             if (!(line >> from >> to)) {
-                fail(line_no, "expected 'dep <producer> <consumer>'");
+                fail("expected 'dep <producer> <consumer>'");
             }
             const auto fi = by_name.find(from);
             const auto ti = by_name.find(to);
             if (fi == by_name.end()) {
-                fail(line_no, "unknown operation '" + from + "'");
+                fail("unknown operation '" + from + "'");
             }
             if (ti == by_name.end()) {
-                fail(line_no, "unknown operation '" + to + "'");
+                fail("unknown operation '" + to + "'");
             }
-            try {
-                graph.add_dependency(fi->second, ti->second);
-            } catch (const precondition_error& e) {
-                fail(line_no, e.what());
-            }
+            graph.add_dependency(fi->second, ti->second);
         } else {
-            fail(line_no, "unknown keyword '" + keyword + "'");
+            fail("unknown keyword '" + keyword + "'");
         }
-    }
+    };
+    for_each_line<parse_error>(in, "line", on_line);
     return graph;
 }
 

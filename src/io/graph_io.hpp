@@ -7,8 +7,8 @@
 //
 // Names are unique identifiers (no whitespace). Dependencies may only
 // reference operations declared earlier in the file; cycles are rejected
-// by the underlying graph. The parser reports malformed input with
-// 1-based line numbers via `parse_error`.
+// by the underlying graph. Lines follow support/line_grammar.hpp; the
+// parser reports malformed input as `parse_error("line N: ...")`.
 
 #ifndef MWL_IO_GRAPH_IO_HPP
 #define MWL_IO_GRAPH_IO_HPP

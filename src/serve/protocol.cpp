@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include "support/line_grammar.hpp"
 #include "support/parse_num.hpp"
 
 #include <cerrno>
@@ -124,18 +125,6 @@ namespace {
     throw protocol_error(message);
 }
 
-/// Split "key=value"; returns false when `token` has no '='.
-bool split_kv(const std::string& token, std::string& key, std::string& value)
-{
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) {
-        return false;
-    }
-    key = token.substr(0, eq);
-    value = token.substr(eq + 1);
-    return true;
-}
-
 /// `value` through one of support/parse_num's checked parsers (whole
 /// token, range-checked, finite); a bad number is a malformed frame.
 template <typename Parse>
@@ -198,7 +187,7 @@ request parse_request(const std::string& payload)
     for (std::size_t i = 1; i < tokens.size(); ++i) {
         std::string key;
         std::string value;
-        if (!split_kv(tokens[i], key, value)) {
+        if (!split_key_value(tokens[i], key, value)) {
             bad("unknown request token '" + tokens[i] + "'");
         }
         if (key == "id") {
@@ -297,7 +286,7 @@ response parse_response(const std::string& payload)
     for (std::size_t i = 1; i < tokens.size(); ++i) {
         std::string key;
         std::string value;
-        if (!split_kv(tokens[i], key, value)) {
+        if (!split_key_value(tokens[i], key, value)) {
             if (r.what == response::status::error) {
                 // The error message is free text: everything from this
                 // token to the end of the header line.

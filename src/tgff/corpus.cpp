@@ -2,6 +2,7 @@
 
 #include "dfg/analysis.hpp"
 #include "support/error.hpp"
+#include "support/line_grammar.hpp"
 #include "support/parse_num.hpp"
 
 #include <climits>
@@ -16,6 +17,16 @@ std::vector<corpus_entry> make_corpus(std::size_t n_ops, std::size_t count,
                                       std::uint64_t base_seed,
                                       const tgff_options& prototype)
 {
+    if (n_ops > max_corpus_ops) {
+        throw precondition_error("corpus ops=" + std::to_string(n_ops) +
+                                 " is above the limit of " +
+                                 std::to_string(max_corpus_ops));
+    }
+    if (count > max_corpus_count) {
+        throw precondition_error("corpus count=" + std::to_string(count) +
+                                 " is above the limit of " +
+                                 std::to_string(max_corpus_count));
+    }
     tgff_options options = prototype;
     options.n_ops = n_ops;
 
@@ -51,13 +62,12 @@ int relaxed_lambda(int lambda_min, double slack)
 corpus_spec corpus_spec::parse(const std::vector<std::string>& tokens)
 {
     corpus_spec spec;
+    std::string key;
+    std::string value;
     for (const std::string& token : tokens) {
-        const std::size_t eq = token.find('=');
-        require(eq != std::string::npos && eq > 0 && eq + 1 < token.size(),
+        require(split_key_value(token, key, value),
                 "corpus spec tokens must look like key=value, got '" + token +
                     "'");
-        const std::string key = token.substr(0, eq);
-        const std::string value = token.substr(eq + 1);
         // parse_*_checked (support/parse_num.hpp): whole-token parses
         // only, negatives rejected where unsigned, range errors named --
         // so "ops=4x" and "count=-1" are diagnostics, not silent garbage.

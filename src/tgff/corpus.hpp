@@ -23,9 +23,17 @@ struct corpus_entry {
     int lambda_min = 0;
 };
 
+/// Size contract of a generated corpus. Far above every experiment here
+/// (|O| <= 50 per corpus graph, a few hundred graphs), low enough that a
+/// typo such as `count=18446744073709551615` is a diagnostic instead of
+/// an abort or an allocation that fills the machine.
+inline constexpr std::size_t max_corpus_ops = 10000;
+inline constexpr std::size_t max_corpus_count = 100000;
+
 /// Deterministic corpus of `count` graphs with `n_ops` operations each.
 /// `base_seed` tags the experiment; entry i of a given (n_ops, base_seed)
-/// is identical across runs and platforms.
+/// is identical across runs and platforms. Throws `precondition_error`
+/// when `n_ops` or `count` is above its `max_corpus_*` bound.
 [[nodiscard]] std::vector<corpus_entry> make_corpus(
     std::size_t n_ops, std::size_t count, const hardware_model& model,
     std::uint64_t base_seed, const tgff_options& prototype = {});

@@ -2,8 +2,8 @@
 //
 // A tune spec names the designs to retune (registry scenarios and/or
 // .mwl graph files), the output-noise budget sweep, and the search knobs.
-// Same small line-based format as campaign specs (1-based line numbers in
-// every diagnostic; parse failures throw `spec_error`):
+// Same line rules as campaign specs (support/line_grammar.hpp; 1-based
+// line numbers in every diagnostic; parse failures throw `spec_error`):
 //
 //   # comment
 //   scenario fir8 fir4            one or more lines; 'all' = registry

@@ -12,11 +12,14 @@
 #include "io/graph_io.hpp"
 #include "scenarios/scenarios.hpp"
 #include "support/rng.hpp"
+#include "wordlength/tune_spec.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -94,7 +97,7 @@ TEST(CampaignSpec, DiagnosticsCarryOneBasedLineNumbers)
     expect_spec_error("scenario fir4\nlambda step=0\n",
                       "spec line 2: step must be >= 1");
     expect_spec_error("scenario fir4\nlambda slack=abc\n",
-                      "spec line 2: bad slack value 'abc'");
+                      "spec line 2: bad numeric value in 'slack=abc'");
     expect_spec_error("scenario fir4\nmodel adder-latency=0\n",
                       "spec line 2: adder-latency values must be >= 1");
     expect_spec_error("scenario fir4\nlambda step=5\nlambda step=6\n",
@@ -102,6 +105,53 @@ TEST(CampaignSpec, DiagnosticsCarryOneBasedLineNumbers)
     expect_spec_error("scenario fir4\nperturb flips=2\n",
                       "spec line 2: perturb needs count=N");
     expect_spec_error("lambda step=5\n", "spec names no scenarios");
+}
+
+TEST(CampaignSpec, OversizedGridsAreParseErrors)
+{
+    // Each of the first three used to run expand() until the process was
+    // killed: `slack += step` overflowed int, the variant loop could not
+    // end, or the grid held 2e9 points.
+    expect_spec_error(
+        "scenario fir4\nlambda slack=2147483647..2147483647 step=1\n",
+        "spec line 2: slack range must be 0 <= lo <= hi <= 10000");
+    expect_spec_error("scenario fir4\nperturb count=18446744073709551615\n",
+                      "spec expands to more than 1000000 points");
+    expect_spec_error("scenario fir4\nlambda slack=0..2000000000 step=1\n",
+                      "spec line 2: slack range must be 0 <= lo <= hi <= "
+                      "10000");
+    // The point limit itself: 10001 slacks x 100 variants is one past
+    // it, 10000 x 100 is exactly it.
+    expect_spec_error(
+        "scenario fir4\nlambda slack=0..10000 step=1\nperturb count=99\n",
+        "spec expands to more than 1000000 points");
+    EXPECT_NO_THROW(static_cast<void>(campaign_spec::parse(
+        "scenario fir4\nlambda slack=0..9999 step=1\nperturb count=99\n")));
+}
+
+TEST(CampaignSpec, CampaignAndTuneSpecsShareOneDiagnosticPerMistake)
+{
+    // The same malformed line 2 reads the same in both grammars.
+    const std::string lines[] = {"lambda slack=abc\n", "lambda junk\n",
+                                 "lambda slack=\n", "lambda wibble=1\n"};
+    for (const std::string& line : lines) {
+        std::string campaign;
+        std::string tune;
+        try {
+            static_cast<void>(
+                campaign_spec::parse("scenario fir4\n" + line));
+        } catch (const spec_error& e) {
+            campaign = e.what();
+        }
+        try {
+            static_cast<void>(
+                tune_spec::parse("scenario fir4\n" + line + "budget 1\n"));
+        } catch (const spec_error& e) {
+            tune = e.what();
+        }
+        EXPECT_EQ(campaign.rfind("spec line 2: ", 0), 0u) << campaign;
+        EXPECT_EQ(campaign, tune) << line;
+    }
 }
 
 TEST(CampaignSpec, TuneDirectiveParses)
@@ -120,14 +170,14 @@ TEST(CampaignSpec, TuneDirectiveParses)
     expect_spec_error("scenario fir4\ntune min-frac=3\n",
                       "spec line 2: tune needs budget=LIST");
     expect_spec_error("scenario fir4\ntune budget=1e-5,1e-5\n",
-                      "spec line 2: duplicate budget value");
+                      "spec line 2: duplicate budget '1e-5'");
     expect_spec_error("scenario fir4\ntune budget=0\n",
-                      "spec line 2: budget values must be positive");
+                      "spec line 2: budgets must be positive, got '0'");
     expect_spec_error("scenario fir4\ntune budget=junk\n",
-                      "spec line 2: bad budget value 'junk'");
+                      "spec line 2: bad numeric value in 'budget=junk'");
     expect_spec_error("scenario fir4\ntune budget=1e-5 min-frac=9 "
                       "max-frac=4\n",
-                      "spec line 2: tune frac range must be 0 <= min <= max");
+                      "spec line 2: frac range must be 0 <= min <= max");
     expect_spec_error(
         "scenario fir4\ntune budget=1e-5\ntune budget=1e-6\n",
         "spec line 3: duplicate tune line");
@@ -187,6 +237,24 @@ TEST(CampaignExpand, TuneBudgetsFormTheInnermostLoop)
     EXPECT_EQ(plain[0].key(), "fir4/v0/a2m8/s0");
     EXPECT_FALSE(plain[0].tuned);
     EXPECT_NE(points_fingerprint(points), points_fingerprint(plain));
+}
+
+TEST(CampaignExpand, SlackLoopStopsAtIntMaxAndTheLimitHolds)
+{
+    // Hand-built specs skip parse's checks; expand() still terminates.
+    campaign_spec spec;
+    spec.scenarios = {"fir4"};
+    spec.slack_lo = INT_MAX - 5;
+    spec.slack_hi = INT_MAX;
+    spec.slack_step = 4;
+    const std::vector<campaign_point> points = expand(spec);
+    ASSERT_EQ(points.size(), 2u);
+    EXPECT_EQ(points[1].slack_percent, INT_MAX - 1);
+    spec.perturb_count = SIZE_MAX;
+    EXPECT_THROW(static_cast<void>(expand(spec)), spec_error);
+    spec.perturb_count = 0;
+    spec.slack_step = 0;
+    EXPECT_THROW(static_cast<void>(expand(spec)), spec_error);
 }
 
 TEST(CampaignExpand, VariantGraphsAreDeterministic)

@@ -95,6 +95,35 @@ TEST(CliBatch, BadNumericDirectiveReportsItsLineNumber)
         "cli_test_bad_number.manifest", "corpus ops=4 count=1 lambda=abc\n");
     expect_fails_with(tool("mwl_batch") + " " + manifest, 2,
                       "manifest line 1: bad numeric value in 'lambda=abc'");
+    // Corpus sizes past make_corpus's bounds: the count used to abort in
+    // vector::reserve (exit 134), the op count to generate until killed.
+    const std::string huge = write_manifest(
+        "cli_test_huge_corpus.manifest",
+        "# sizes\ncorpus ops=4 count=18446744073709551615\n");
+    expect_fails_with(tool("mwl_batch") + " " + huge, 2,
+                      "manifest line 2: corpus count=18446744073709551615 "
+                      "is above the limit of 100000");
+    const std::string wide = write_manifest("cli_test_wide_corpus.manifest",
+                                            "corpus ops=3000000000 count=1\n");
+    expect_fails_with(tool("mwl_batch") + " " + wide, 2,
+                      "manifest line 1: corpus ops=3000000000 is above the "
+                      "limit of 10000");
+}
+
+TEST(CliBatch, SlackBeyondTheLatencyLimitFailsOnlyItsEntry)
+{
+    // Regression: relaxed_lambda's rejection ended the whole run (exit 1,
+    // no rows); now the entry gets an error row beside the good ones.
+    const std::string manifest = write_manifest(
+        "cli_test_huge_slack.manifest",
+        "corpus ops=4 count=2 seed=3\ncorpus ops=4 count=1 slack=1e300\n");
+    const run_result r = run(tool("mwl_batch") + " " + manifest);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    for (const char* row : {"tgff(ops=4,seed=3)#0", "tgff(ops=4,seed=3)#1",
+                            "error: slack 1e+300% relaxes lambda_min"}) {
+        EXPECT_NE(r.output.find(row), std::string::npos)
+            << row << "\n" << r.output;
+    }
 }
 
 TEST(CliBatch, SweepAndVerifyAreMutuallyExclusive)
@@ -212,6 +241,9 @@ TEST(CliVerify, NegativeSlackIsRejected)
 {
     expect_fails_with(tool("mwl_verify") + " --slack -10", 2,
                       "slack must be non-negative");
+    // Past the latency limit: bad input too, not a verification failure.
+    expect_fails_with(tool("mwl_verify") + " --ops 4 --count 1 --slack 1e300",
+                      2, "beyond the latency limit 2147483647");
 }
 
 TEST(CliVerify, MissingValueIsDiagnosed)
@@ -262,6 +294,10 @@ TEST(CliScenarios, OutOfRangeNumericValueIsDiagnosedNotAborted)
                       "bad value for --inputs: bad numeric value '4x'");
     expect_fails_with(tool("mwl_scenarios") + " --list --slack 5x", 2,
                       "bad value for --slack: bad numeric value '5x'");
+    // Parses, but relaxes lambda past int: bad input, not a failed check.
+    expect_fails_with(tool("mwl_scenarios") +
+                          " --verify --scenario fir4 --slack 1e300",
+                      2, "beyond the latency limit 2147483647");
 }
 
 TEST(CliScenarios, CorruptedGoldenIsMalformedInputNotDrift)
@@ -356,6 +392,18 @@ TEST(CliCampaign, UnknownScenarioInSpecExitsTwo)
                           " --run cli_test_campaign_unknown --spec " + spec,
                       2,
                       "spec line 1: unknown scenario 'no_such_scenario'");
+}
+
+TEST(CliCampaign, OversizedSpecExitsTwo)
+{
+    // Regression: expand() looped until the process was killed.
+    const std::string spec =
+        write_spec("cli_test_oversized.spec",
+                   "scenario fir4\nperturb count=18446744073709551615\n");
+    std::filesystem::remove_all("cli_test_campaign_oversized");
+    expect_fails_with(tool("mwl_campaign") +
+                          " --run cli_test_campaign_oversized --spec " + spec,
+                      2, "spec expands to more than 1000000 points");
 }
 
 TEST(CliCampaign, MissingSpecFileExitsTwo)
@@ -498,6 +546,12 @@ TEST(CliClient, BatchOnlyManifestDirectivesAreRejected)
     expect_fails_with(tool("mwl_client") +
                           " unix:/tmp/x.sock --manifest " + bad_lambda,
                       2, "manifest line 1: bad numeric value in 'lambda=4x'");
+    const std::string huge =
+        write_manifest("cli_test_serve_huge.manifest",
+                       "corpus ops=4 count=18446744073709551615\n");
+    expect_fails_with(tool("mwl_client") +
+                          " unix:/tmp/x.sock --manifest " + huge,
+                      2, "manifest line 1: corpus count=18446744073709551615");
 }
 
 TEST(CliClient, BadCountsExitTwo)
@@ -609,6 +663,11 @@ TEST(CliLint, ManifestErrorsReportTheirLineNumber)
         "cli_test_lint_negative.manifest", "corpus ops=4 count=1 slack=-60\n");
     expect_fails_with(tool("mwl_lint") + " --manifest " + negative, 2,
                       "manifest line 1: slack must be non-negative");
+    const std::string huge =
+        write_manifest("cli_test_lint_huge.manifest",
+                       "corpus ops=4 count=18446744073709551615\n");
+    expect_fails_with(tool("mwl_lint") + " --manifest " + huge, 2,
+                      "manifest line 1: corpus count=18446744073709551615");
 }
 
 TEST(CliLint, ManifestCorpusEntriesAreNumberedAcrossTheManifest)
@@ -639,6 +698,12 @@ TEST(CliLint, BadNumericFlagValuesExitTwoNotAbort)
                       2, "bad value for --max-width: numeric value out of range");
     expect_fails_with(tool("mwl_lint") + " --seed -3 fir4", 2,
                       "bad value for --seed: bad numeric value '-3'");
+    expect_fails_with(tool("mwl_lint") +
+                          " --corpus --count 18446744073709551615",
+                      2, "corpus count=18446744073709551615 is above the "
+                         "limit of 100000");
+    expect_fails_with(tool("mwl_lint") + " --corpus --ops 3000000000", 2,
+                      "corpus ops=3000000000 is above the limit of 10000");
 }
 
 TEST(CliLint, ManifestBadNumericReportsItsLineNumber)
@@ -746,6 +811,13 @@ TEST(CliVerify, BadNumericFlagValuesExitTwoNotAbort)
                       "bad value for --seed: bad numeric value '-3'");
     expect_fails_with(tool("mwl_verify") + " --ops 10x", 2,
                       "bad value for --ops: bad numeric value '10x'");
+    // Parse, but past make_corpus's bounds (the count used to abort in
+    // vector::reserve).
+    expect_fails_with(tool("mwl_verify") + " --count 18446744073709551615",
+                      2, "corpus count=18446744073709551615 is above the "
+                         "limit of 100000");
+    expect_fails_with(tool("mwl_verify") + " --ops 3000000000", 2,
+                      "corpus ops=3000000000 is above the limit of 10000");
 }
 
 // -------------------------------------------------------------- mwl_tune --

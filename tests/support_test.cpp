@@ -1,11 +1,12 @@
 // Unit tests for src/support: strong ids, error primitives, the
 // deterministic RNG, the statistics helpers (including the serve
-// daemon's latency window), the lock-striped LRU cache and the JSON
-// string escaper.
+// daemon's latency window), the lock-striped LRU cache, the JSON
+// string escaper and the shared text-input line grammar.
 
 #include "support/error.hpp"
 #include "support/ids.hpp"
 #include "support/json.hpp"
+#include "support/line_grammar.hpp"
 #include "support/rng.hpp"
 #include "support/sharded_lru.hpp"
 #include "support/stats.hpp"
@@ -15,6 +16,7 @@
 
 #include <algorithm>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_set>
@@ -443,6 +445,119 @@ TEST(Json, EscapeCoversQuotesBackslashesAndControlCharacters)
     EXPECT_EQ(json_escape("plain fir8#0/r3"), "plain fir8#0/r3");
     EXPECT_EQ(json_escape("a\"b\\c\nd\te\x01" "f"),
               "a\\\"b\\\\c\\nd\\te\\u0001f");
+}
+
+// -------------------------------------------------------- line grammar --
+
+TEST(LineGrammar, SplitterTakesTheFirstEqualsAndNeedsBothSides)
+{
+    std::string key;
+    std::string value;
+    EXPECT_TRUE(split_key_value("k=v", key, value));
+    EXPECT_EQ(key, "k");
+    EXPECT_EQ(value, "v");
+    EXPECT_TRUE(split_key_value("k==v", key, value));
+    EXPECT_EQ(key, "k");
+    EXPECT_EQ(value, "=v");
+    EXPECT_TRUE(split_key_value("k=v=w", key, value));
+    EXPECT_EQ(key, "k");
+    EXPECT_EQ(value, "v=w");
+    EXPECT_FALSE(split_key_value("k=", key, value));
+    EXPECT_FALSE(split_key_value("=v", key, value));
+    EXPECT_FALSE(split_key_value("=", key, value));
+    EXPECT_FALSE(split_key_value("kv", key, value));
+}
+
+/// A caller's own error type, to check the loop rethrows as it.
+class grammar_error : public error {
+public:
+    using error::error;
+};
+
+/// (keyword, rest of line, line number) for every statement of `text`.
+std::vector<std::string> statements(const std::string& text)
+{
+    std::istringstream in(text);
+    std::vector<std::string> seen;
+    for_each_line<grammar_error>(
+        in, "test line",
+        [&](const std::string& keyword, std::istream& line,
+            std::size_t line_no) {
+            std::string rest;
+            std::getline(line, rest);
+            seen.push_back(std::to_string(line_no) + ":" + keyword + ":" +
+                           rest);
+        });
+    return seen;
+}
+
+TEST(LineGrammar, BlankAndCommentLinesAreSkippedButCounted)
+{
+    EXPECT_EQ(statements("# header\n\n   \nop a b\n  #x y\n\tdep c d\n"
+                         "last"),
+              (std::vector<std::string>{"4:op: a b", "6:dep: c d",
+                                        "7:last:"}));
+    EXPECT_TRUE(statements("").empty());
+    EXPECT_TRUE(statements("#only\n\n").empty());
+}
+
+TEST(LineGrammar, ErrorsComeBackAsTheCallersTypeWithTheLinePrefix)
+{
+    std::istringstream in("# one\nfirst\nsecond\n");
+    try {
+        for_each_line<grammar_error>(
+            in, "test line",
+            [](const std::string& keyword, std::istream&, std::size_t) {
+                require(keyword != "second", "bad second");
+            });
+        ADD_FAILURE() << "expected grammar_error";
+    } catch (const grammar_error& e) {
+        EXPECT_STREQ(e.what(), "test line 3: bad second");
+    }
+    EXPECT_EQ(line_diagnostic("line", 7, "oops"), "line 7: oops");
+}
+
+TEST(LineGrammar, KeyValueHelperOwnsTheShapeAndUnknownKeyDiagnostics)
+{
+    const auto run = [](const std::string& text) {
+        std::istringstream line(text);
+        std::vector<std::string> taken;
+        for_each_key_value(line, "frac",
+                           [&](const std::string& key,
+                               const std::string& value,
+                               const std::string& token) {
+                               taken.push_back(key + "|" + value + "|" +
+                                               token);
+                               return key != "wibble";
+                           });
+        return taken;
+    };
+    EXPECT_EQ(run(" min=2  max=k=v "),
+              (std::vector<std::string>{"min|2|min=2", "max|k=v|max=k=v"}));
+    const auto message = [&](const std::string& text) {
+        try {
+            static_cast<void>(run(text));
+        } catch (const precondition_error& e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    EXPECT_EQ(message("min=2 max="), "expected key=value, got 'max='");
+    EXPECT_EQ(message("=3"), "expected key=value, got '=3'");
+    EXPECT_EQ(message("wibble=1"), "unknown frac key 'wibble'");
+}
+
+TEST(LineGrammar, SectionGuardRejectsTheSecondLineOfASection)
+{
+    once_per_spec sections;
+    sections.enter("lambda");
+    sections.enter("model");
+    try {
+        sections.enter("lambda");
+        ADD_FAILURE() << "expected a duplicate";
+    } catch (const precondition_error& e) {
+        EXPECT_STREQ(e.what(), "duplicate lambda line");
+    }
 }
 
 } // namespace

@@ -136,6 +136,7 @@ int main(int argc, char** argv)
         std::vector<std::size_t> job_of_item(items.size(),
                                              static_cast<std::size_t>(-1));
         std::vector<int> lambda_of_item(items.size(), 0);
+        std::vector<std::string> error_of_item(items.size());
         std::vector<batch_engine::outcome> outcomes;
         constexpr std::size_t chunk_size = 64;
         std::size_t reached = 0; ///< items whose chunk ran (or was skipped)
@@ -153,13 +154,18 @@ int main(int argc, char** argv)
                 if (item.sweep) {
                     continue;
                 }
-                const int lambda =
-                    item.lambda
-                        ? *item.lambda
-                        : item.graph.empty()
-                            ? 0
-                            : relaxed_lambda(min_latency(item.graph, model),
-                                             item.slack.value_or(0.0));
+                int lambda = item.lambda.value_or(0);
+                if (!item.lambda && !item.graph.empty()) {
+                    try {
+                        lambda = relaxed_lambda(min_latency(item.graph, model),
+                                                item.slack.value_or(0.0));
+                    } catch (const precondition_error& e) {
+                        // A slack beyond the latency limit fails its own
+                        // row, not the batch.
+                        error_of_item[reached] = e.what();
+                        continue;
+                    }
+                }
                 lambda_of_item[reached] = lambda;
                 if (item.verify) {
                     continue; // verified on the pool below, at this lambda
@@ -185,7 +191,8 @@ int main(int argc, char** argv)
             task_group tasks(pool);
             for (std::size_t i = 0; i < reached; ++i) {
                 const cli::manifest_entry& item = items[i];
-                if (!item.sweep && !item.verify) {
+                if ((!item.sweep && !item.verify) ||
+                    !error_of_item[i].empty()) {
                     continue;
                 }
                 if (interrupt_requested()) {
@@ -259,13 +266,19 @@ int main(int argc, char** argv)
             // On interrupt, entries that never ran get no row: a partial
             // report only contains results that actually exist.
             if (item.sweep || item.verify) {
-                if (!launched[i]) {
+                if (!launched[i] && error_of_item[i].empty()) {
                     continue;
                 }
             } else if (i >= reached) {
                 continue;
             }
             ++completed_items;
+            if (!error_of_item[i].empty()) {
+                emit_row(item.name, item.verify ? "verify" : "alloc", 0, 0,
+                         0.0, "error: " + error_of_item[i]);
+                ++failures;
+                continue;
+            }
             if (item.sweep) {
                 if (fronts[i].empty()) {
                     // An empty graph sweeps to an empty frontier; still

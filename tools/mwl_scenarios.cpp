@@ -278,6 +278,12 @@ int main(int argc, char** argv)
         }
         std::cout << "OK: reference == datapath sim == RTL interpretation\n";
         return 0;
+    } catch (const precondition_error& e) {
+        // Input outside the library's contract (a slack whose lambda
+        // passes the latency limit, a corpus beyond its size bounds) is
+        // bad input, like a bad flag: exit 2.
+        std::cerr << "mwl_scenarios: " << e.what() << '\n';
+        return 2;
     } catch (const error& e) {
         std::cerr << "mwl_scenarios: " << e.what() << '\n';
         return 1;
